@@ -139,11 +139,11 @@ def cmd_bench(args) -> int:
         rows, slopes, families = [], [], []
         flagged = False
         for seed in config.seeds:
-            trace, family = results[seed]
+            trace, played, family = results[seed]
             write_trace_csv(trace, outs.path(f"{config.name}_seed{seed}.csv"))
             row = {"seed": seed, "n": trace.n, "regret": trace.final_regret(comp_id), "slope": None}
             if len(fit_ns) >= 4:
-                fit = estimate_exponent(fit_ns, family)
+                fit = estimate_exponent(played, family)
                 row["slope"] = fit.slope
                 slopes.append(fit.slope)
                 flagged = flagged or fit.flagged
@@ -151,7 +151,8 @@ def cmd_bench(args) -> int:
             rows.append(row)
         write_summary_csv(rows, outs.path(f"{config.name}_summary.csv"))
         if families:
-            write_plot_data(outs.path(f"{config.name}_regret.dat"), fit_ns, np.mean(families, axis=0))
+            # played counts depend on the horizon and d only, not on the seed
+            write_plot_data(outs.path(f"{config.name}_regret.dat"), played, np.mean(families, axis=0))
 
         print(f"experiment {config.name}: {len(config.seeds)} seed(s), horizon {config.horizon}")
         if config.regime in ("smooth", "hard"):
@@ -163,7 +164,7 @@ def cmd_bench(args) -> int:
         else:
             print("  exponent fit skipped (fewer than 4 checkpoints)")
         return EXIT_OK
-    except (GameFailure, NumericalBreakdownError, FloatingPointError) as exc:
+    except (GameFailure, NumericalBreakdownError, FloatingPointError, OverflowError) as exc:
         outs.tombstone(str(exc))
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -197,7 +198,7 @@ def cmd_effdim(args) -> int:
         else:
             print("  slope skipped (fewer than 4 grid sizes)")
         return EXIT_OK
-    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
         outs.tombstone(str(exc))
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
@@ -242,7 +243,7 @@ def cmd_compare(args) -> int:
         write_plot_data(outs.path(f"{config.name}_ewa.dat"), cps, mean_e)
         print(f"compare {config.name}: final mean regret kernel={mean_k[-1]:.4f} ewa={mean_e[-1]:.4f}")
         return EXIT_OK
-    except (GameFailure, NumericalBreakdownError, FloatingPointError) as exc:
+    except (GameFailure, NumericalBreakdownError, FloatingPointError, OverflowError) as exc:
         outs.tombstone(str(exc))
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL

@@ -307,7 +307,7 @@ def run_game(config: ExperimentConfig, seed: int | None = None) -> GameTrace:
             else:
                 yhats[t] = raw
             guard.update(x, ys[t])
-    except (NumericalBreakdownError, ValueError, FloatingPointError) as exc:
+    except (NumericalBreakdownError, ValueError, FloatingPointError, OverflowError) as exc:
         raise GameFailure(f"game {config.name!r} seed {seed} failed at round {t + 1}: {exc}", t + 1) from exc
 
     losses = (ys - yhats) ** 2
@@ -326,20 +326,25 @@ def run_game(config: ExperimentConfig, seed: int | None = None) -> GameTrace:
     )
 
 
-def _run_one(args: tuple[ExperimentConfig, int]) -> GameTrace:
-    config, seed = args
-    return run_game(config, seed)
+def _map_seeds(fn, config: ExperimentConfig, *args) -> dict:
+    """fn(config, *args, seed) for every configured seed, keyed by seed.
+
+    Seeds run across config.threads worker processes when there is more than
+    one of each, and in this process, in seed order, otherwise.
+    """
+    config.validate()
+    calls = [(config, *args, seed) for seed in config.seeds]
+    if config.threads > 1 and len(calls) > 1:
+        with ProcessPoolExecutor(max_workers=config.threads) as pool:
+            results = list(pool.map(fn, *zip(*calls)))
+    else:
+        results = [fn(*call) for call in calls]
+    return dict(zip(config.seeds, results))
 
 
 def run_experiment(config: ExperimentConfig) -> dict[int, GameTrace]:
     """Run all configured seeds, optionally across a process pool."""
-    config.validate()
-    if config.threads > 1 and len(config.seeds) > 1:
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
-            traces = list(pool.map(_run_one, [(config, s) for s in config.seeds]))
-    else:
-        traces = [run_game(config, s) for s in config.seeds]
-    return {t.seed: t for t in traces}
+    return _map_seeds(run_game, config)
 
 
 def run_horizon_family(config: ExperimentConfig, ns, seed: int) -> np.ndarray:
@@ -358,51 +363,34 @@ def run_horizon_family(config: ExperimentConfig, ns, seed: int) -> np.ndarray:
     return np.asarray(finals)
 
 
-def _run_family_one(args: tuple[ExperimentConfig, tuple, int]) -> tuple[int, np.ndarray]:
-    config, ns, seed = args
-    return seed, run_horizon_family(config, ns, seed)
-
-
 def run_family(config: ExperimentConfig, ns) -> dict[int, np.ndarray]:
     """run_horizon_family for every configured seed, pooled per config.threads."""
-    config.validate()
-    ns = tuple(ns)
-    if config.threads > 1 and len(config.seeds) > 1:
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
-            out = dict(pool.map(_run_family_one, [(config, ns, s) for s in config.seeds]))
-    else:
-        out = dict(_run_family_one((config, ns, s)) for s in config.seeds)
-    return out
+    return _map_seeds(run_horizon_family, config, tuple(ns))
 
 
 def bench_seed(config: ExperimentConfig, fit_ns: tuple[int, ...], seed: int):
     """One bench unit: the full-horizon trace plus the regret family at fit_ns.
 
-    The full-horizon game doubles as the last family member when fit_ns ends
-    at the horizon, so it is not replayed.
+    The family is returned as two arrays: the rounds each game actually
+    played, which fall short of the nominal horizon when a shattering stream
+    has fewer cubes (d >= 2), and the final regret of each game.  The
+    full-horizon game doubles as the family member at the configured
+    horizon, so it is not replayed.
     """
     trace = run_game(config, seed)
     comp_id = "bump" if config.adversary == "shattering" else config.comparator
-    shorter = tuple(n for n in fit_ns if n < trace.n)
-    finals = list(run_horizon_family(config, shorter, seed)) if shorter else []
-    if fit_ns and fit_ns[-1] == trace.n:
-        finals.append(trace.final_regret(comp_id))
-    return trace, np.asarray(finals)
+    games = [
+        trace if n == config.horizon else run_game(replace(config, horizon=n, checkpoints=None), seed)
+        for n in fit_ns
+    ]
+    played = np.array([game.n for game in games], dtype=int)
+    finals = np.array([game.final_regret(comp_id) for game in games])
+    return trace, played, finals
 
 
-def _bench_one(args):
-    config, fit_ns, seed = args
-    return seed, bench_seed(config, fit_ns, seed)
-
-
-def run_bench(config: ExperimentConfig, fit_ns) -> dict[int, tuple[GameTrace, np.ndarray]]:
+def run_bench(config: ExperimentConfig, fit_ns) -> dict[int, tuple[GameTrace, np.ndarray, np.ndarray]]:
     """bench_seed across all seeds, pooled per config.threads."""
-    config.validate()
-    fit_ns = tuple(fit_ns)
-    if config.threads > 1 and len(config.seeds) > 1:
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
-            return dict(pool.map(_bench_one, [(config, fit_ns, s) for s in config.seeds]))
-    return dict(_bench_one((config, fit_ns, s)) for s in config.seeds)
+    return _map_seeds(bench_seed, config, tuple(fit_ns))
 
 
 @dataclass

@@ -21,14 +21,16 @@ factor R_t of K_t + tau I is grown by one column per round: with
     R_t = [[R_{t-1}, r], [0, rho]],  R_{t-1}^T r = b_t,
     rho = sqrt(k(x_t, x_t) + tau - r^T r),
 
-where b_t is the vector of kernel values against the history.  Alongside R
-the code maintains W = R^{-T} (the inverse transposed factor, lower
-triangular) and u = W y.  W turns the per-round triangular solves into BLAS
-matrix-vector products on preallocated buffers, which profiled an order of
-magnitude faster than repeated `solve_triangular` calls on growing
-submatrices; the recursions are
+where b_t is the vector of kernel values against the history.  R is the
+only factor kept, in column-packed upper-triangular storage (the LAPACK
+'U' packed layout): column j occupies the j + 1 entries starting at
+j (j + 1) / 2, so appending round t writes t + 1 entries and the leading
+t x t factor is always a contiguous prefix.  The solve R_{t-1}^T r = b_t is
+one packed triangular solve (BLAS dtpsv) on that prefix, without copying
+it.  Alongside R the code maintains u = R^{-T} y through the scalar
+recursion
 
-    W_t = [[W, 0], [-(W^T r)^T / rho, 1/rho]],    u_t = (u, (y_t - r^T u) / rho),
+    u_t = (u, (y_t - r^T u) / rho),
 
 and the prediction collapses to the scalar identity
 
@@ -36,7 +38,8 @@ and the prediction collapses to the scalar identity
 
 algebraically equal to the two-triangular-solve evaluation of the display
 above (checked against a from-scratch dense solve in the test suite).
-Per-round cost is O(t^2 + t d); the whole game is O(n^3 + n^2 d).
+Per-round cost is O(t^2 + t d); the whole game is O(n^3 + n^2 d) time, and
+the n (n + 1) / 2 entries of the packed factor are its O(n^2) memory.
 
 predict() never mutates committed state: the provisional column for x_t is
 cached and reused by a following update() on the same point, or recomputed
@@ -52,6 +55,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dtpsv
 
 from .kernel import KernelParams, gram, kernel_of_dist
 
@@ -94,10 +98,9 @@ class KaarForecaster:
         cap = max(int(capacity), 8)
         self._X = np.zeros((cap, params.d))
         self._Y = np.zeros(cap)
-        self._R = np.zeros((cap, cap))  # upper triangular factor of K + tau I
-        self._W = np.zeros((cap, cap))  # R^{-T}, lower triangular
-        self._u = np.zeros(cap)         # W @ Y
-        self._pending: tuple[np.ndarray, np.ndarray, np.ndarray, float] | None = None
+        self._ap = np.zeros(cap * (cap + 1) // 2)  # R, column-packed upper triangle
+        self._u = np.zeros(cap)                     # R^{-T} Y
+        self._pending: tuple[np.ndarray, np.ndarray, float] | None = None
 
     # -- public views -------------------------------------------------
 
@@ -117,7 +120,10 @@ class KaarForecaster:
     @property
     def chol(self) -> np.ndarray:
         """Copy of the upper-triangular factor R with R^T R = K + tau I."""
-        return np.triu(self._R[: self._t, : self._t])
+        t = self._t
+        R = np.zeros((t, t))
+        R.T[np.tril_indices(t)] = self._ap[: t * (t + 1) // 2]
+        return R
 
     # -- internals ----------------------------------------------------
 
@@ -128,17 +134,11 @@ class KaarForecaster:
         return x
 
     def _grow(self):
-        cap = self._X.shape[0]
-        new = cap * 2
-        for name in ("_X", "_Y", "_u"):
+        new = self._X.shape[0] * 2
+        for name, size in (("_X", new), ("_Y", new), ("_u", new), ("_ap", new * (new + 1) // 2)):
             old = getattr(self, name)
-            buf = np.zeros((new,) + old.shape[1:])
-            buf[:cap] = old
-            setattr(self, name, buf)
-        for name in ("_R", "_W"):
-            old = getattr(self, name)
-            buf = np.zeros((new, new))
-            buf[:cap, :cap] = old
+            buf = np.zeros((size,) + old.shape[1:])
+            buf[: len(old)] = old
             setattr(self, name, buf)
 
     def _kernel_vec(self, x: np.ndarray) -> np.ndarray:
@@ -150,21 +150,19 @@ class KaarForecaster:
         K = gram(self.params, self._X[:t])
         K[np.diag_indices(t)] += self.tau
         L = np.linalg.cholesky(K)  # lower, L @ L.T = K + tau I
-        R = L.T
-        self._R[:t, :t] = R
-        # W = R^{-T} = (L^{-1}); invert the triangular factor directly
-        self._W[:t, :t] = np.linalg.inv(L)
-        self._u[:t] = self._W[:t, :t] @ self._Y[:t]
+        # row j of L up to the diagonal is column j of R = L^T
+        self._ap[: t * (t + 1) // 2] = L[np.tril_indices(t)]
+        self._u[:t] = dtpsv(t, self._ap, self._Y[:t], trans=1)
 
-    def _extend_column(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        """Provisional new column (b, r, rho) of the factor for point x."""
+    def _extend_column(self, x: np.ndarray) -> tuple[np.ndarray, float]:
+        """Provisional new column (r, rho) of the factor for point x."""
         t = self._t
         b = self._kernel_vec(x)
         for attempt in (0, 1):
-            r = self._W[:t, :t] @ b
+            r = dtpsv(t, self._ap, b, trans=1)
             s2 = self.params.kappa_sq + self.tau - float(r @ r)
             if s2 > 0.0:
-                return b, r, math.sqrt(s2)
+                return r, math.sqrt(s2)
             if attempt == 0:
                 self._refactorize()
         raise NumericalBreakdownError(
@@ -178,8 +176,8 @@ class KaarForecaster:
         x = self._check_point(x)
         if self._t == 0:
             return 0.0
-        b, r, rho = self._extend_column(x)
-        self._pending = (x.copy(), b, r, rho)
+        r, rho = self._extend_column(x)
+        self._pending = (x.copy(), r, rho)
         return self.tau * float(r @ self._u[: self._t]) / (rho * rho)
 
     def predict_clipped(self, x) -> float:
@@ -200,18 +198,16 @@ class KaarForecaster:
             self._grow()
         if t == 0:
             rho = math.sqrt(self.params.kappa_sq + self.tau)
-            self._R[0, 0] = rho
-            self._W[0, 0] = 1.0 / rho
+            self._ap[0] = rho
             self._u[0] = y / rho
         else:
             if self._pending is not None and np.array_equal(self._pending[0], x):
-                _, b, r, rho = self._pending
+                _, r, rho = self._pending
             else:
-                b, r, rho = self._extend_column(x)
-            self._R[:t, t] = r
-            self._R[t, t] = rho
-            self._W[t, :t] = -(self._W[:t, :t].T @ r) / rho
-            self._W[t, t] = 1.0 / rho
+                r, rho = self._extend_column(x)
+            col = t * (t + 1) // 2
+            self._ap[col : col + t] = r
+            self._ap[col + t] = rho
             self._u[t] = (y - float(r @ self._u[:t])) / rho
         self._X[t] = x
         self._Y[t] = y

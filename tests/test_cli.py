@@ -109,6 +109,18 @@ def test_bench_numerical_failure_tombstones(config_file, tmp_path):
     assert leftovers == []
 
 
+def test_bench_kernel_overflow_tombstones(config_file, tmp_path):
+    out = tmp_path / "overflow"
+    code = main([
+        "bench", "--config", str(config_file), "--out", str(out), "--seed", "0",
+        "--override", "kernel.regime=manual", "--override", "kernel.s=40.5",
+        "--override", "kernel.tau=1", "--override", "experiment.horizon=512",
+    ])
+    assert code == EXIT_NUMERICAL
+    assert "overflows" in (out / "FAILED.txt").read_text()
+    assert [p.name for p in out.iterdir()] == ["FAILED.txt"]
+
+
 def test_effdim_small(config_file, tmp_path, capsys):
     out = tmp_path / "eff"
     code = main([
@@ -187,6 +199,20 @@ def test_bench_hard_regime_target(tmp_path, capsys):
     assert code == EXIT_OK
     printed = capsys.readouterr().out
     assert "0.6000" in printed  # 1 - (beta/d)(p - d/beta)/(p - 2) at d=2, beta=0.9, p=4
+
+
+def test_bench_hard_fits_over_played_rounds(tmp_path):
+    # at d = 2 the shattering stream of horizon 512 has 22^2 = 484 cubes, and
+    # the family games at n = 8, 32, 128 play 4, 25 and 121 rounds
+    out = tmp_path / "hard512"
+    code = main([
+        "bench", "--config", "hard", "--out", str(out), "--threads", "1",
+        "--override", "experiment.horizon=512", "--override", "experiment.seeds=0",
+    ])
+    assert code == EXIT_OK
+    played = np.loadtxt(out / "hard-d2_regret.dat")[:, 0]
+    assert played.tolist() == [4, 16, 25, 64, 121, 256, 484]
+    assert not (out / "FAILED.txt").exists()
 
 
 def test_effdim_clustered_slope_not_above_equispaced(config_file, tmp_path, capsys):

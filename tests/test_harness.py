@@ -132,6 +132,16 @@ def test_game_failure_carries_round_index():
     assert exc_info.value.round_index >= 1
 
 
+def test_kernel_overflow_becomes_game_failure():
+    # at s = 40.5 the Bessel factor of the kernel overflows for two inputs
+    # 2.4e-7 apart, which this stream first brings together at round 507
+    cfg = small_config(regime="manual", s=40.5, tau=1.0, horizon=512)
+    with pytest.raises(GameFailure) as exc_info:
+        run_game(cfg, 0)
+    assert isinstance(exc_info.value.__cause__, OverflowError)
+    assert exc_info.value.round_index == 507
+
+
 def test_order_guard_blocks_label_leakage_patterns():
     class Dummy:
         def predict(self, x):

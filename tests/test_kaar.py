@@ -141,8 +141,9 @@ def test_predict_does_not_mutate_state():
 
 
 def test_corrupted_state_recovers_by_refactorization():
-    # a corrupted inverse factor makes the provisional pivot non-positive;
-    # the forecaster rebuilds the factorization from scratch and carries on
+    # a shrunken factor inflates the solved column, so the provisional pivot
+    # turns non-positive; the forecaster rebuilds the factorization from
+    # scratch and carries on
     rng = np.random.default_rng(9)
     params = KernelParams(1, 1.0)
     fc = KaarForecaster(params, tau=1.0)
@@ -150,7 +151,7 @@ def test_corrupted_state_recovers_by_refactorization():
     ys = rng.uniform(-1, 1, 20)
     for t in range(20):
         fc.update(xs[t], ys[t])
-    fc._W[:20, :20] *= 50.0  # corrupt
+    fc._ap[: 20 * 21 // 2] *= 0.02  # corrupt the packed factor R
     got = fc.predict([0.3])
     direct = predict_direct(params, 1.0, xs, ys, [0.3])
     assert got == pytest.approx(direct, abs=1e-9)
@@ -162,7 +163,7 @@ def test_persistent_breakdown_raises():
     params = KernelParams(1, 1.0)
     fc = KaarForecaster(params, tau=1.0)
     fc.update([0.0], 1.0)
-    fc._W[:1, :1] = 1e6
+    fc._ap[0] = 1e-6  # R_00
     fc._refactorize = lambda: None  # refactorization cannot repair this one
     with pytest.raises(NumericalBreakdownError):
         fc.predict([0.5])
