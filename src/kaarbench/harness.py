@@ -347,45 +347,42 @@ def run_experiment(config: ExperimentConfig) -> dict[int, GameTrace]:
     return _map_seeds(run_game, config)
 
 
-def run_horizon_family(config: ExperimentConfig, ns, seed: int) -> np.ndarray:
-    """Final regrets of fresh games at each horizon in ns (one seed).
+def run_horizon_family(
+    config: ExperimentConfig, ns, seed: int, full: GameTrace | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rounds played and final regrets of fresh games at each horizon in ns (one seed).
 
     The schedule is re-resolved per horizon, so tau follows its n-dependent
     law across the family; this is the curve whose growth exponent the
     regret theory bounds.  Regret is against the stream's own comparator.
+    A shattering stream with d >= 2 can have fewer cubes than the nominal
+    horizon, so fit exponents against the rounds played, not against ns.
+    `full`, a game already played at config.horizon for this seed, stands in
+    for the family member at that horizon instead of a replay.
     """
-    finals = []
-    for n in ns:
-        cfg = replace(config, horizon=n, checkpoints=None)
-        trace = run_game(cfg, seed)
-        comp_id = "bump" if config.adversary == "shattering" else config.comparator
-        finals.append(trace.final_regret(comp_id))
-    return np.asarray(finals)
+    comp_id = "bump" if config.adversary == "shattering" else config.comparator
+    games = [
+        full if full is not None and n == config.horizon
+        else run_game(replace(config, horizon=n, checkpoints=None), seed)
+        for n in ns
+    ]
+    played = np.array([game.n for game in games], dtype=int)
+    return played, np.array([game.final_regret(comp_id) for game in games])
 
 
-def run_family(config: ExperimentConfig, ns) -> dict[int, np.ndarray]:
+def run_family(config: ExperimentConfig, ns) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """run_horizon_family for every configured seed, pooled per config.threads."""
     return _map_seeds(run_horizon_family, config, tuple(ns))
 
 
 def bench_seed(config: ExperimentConfig, fit_ns: tuple[int, ...], seed: int):
-    """One bench unit: the full-horizon trace plus the regret family at fit_ns.
+    """One bench unit: the full-horizon trace plus run_horizon_family at fit_ns.
 
-    The family is returned as two arrays: the rounds each game actually
-    played, which fall short of the nominal horizon when a shattering stream
-    has fewer cubes (d >= 2), and the final regret of each game.  The
-    full-horizon game doubles as the family member at the configured
+    The full-horizon game doubles as the family member at the configured
     horizon, so it is not replayed.
     """
     trace = run_game(config, seed)
-    comp_id = "bump" if config.adversary == "shattering" else config.comparator
-    games = [
-        trace if n == config.horizon else run_game(replace(config, horizon=n, checkpoints=None), seed)
-        for n in fit_ns
-    ]
-    played = np.array([game.n for game in games], dtype=int)
-    finals = np.array([game.final_regret(comp_id) for game in games])
-    return trace, played, finals
+    return (trace, *run_horizon_family(config, fit_ns, seed, full=trace))
 
 
 def run_bench(config: ExperimentConfig, fit_ns) -> dict[int, tuple[GameTrace, np.ndarray, np.ndarray]]:

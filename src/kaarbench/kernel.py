@@ -78,17 +78,14 @@ def kernel_of_dist(params: KernelParams, r) -> np.ndarray:
     nu = params.nu
     amp = 2.0 ** (1.0 - params.s) / gamma(params.s)
     mask = r > R_MIN
-    if mask.all():
-        # in place, in the order of the masked path below: at large n its
-        # full-size copies can settle on the heap and never be returned
-        out = r**nu
-        out *= amp
-        out *= bessel_k(nu, r)
-        return out
-    out = np.full(r.shape, params.kappa_sq)
-    if np.any(mask):
-        rm = r[mask]
-        out[mask] = amp * rm**nu * bessel_k(nu, rm)
+    # one full-size copy, computed in place: at large n further copies of
+    # r can settle on the heap and never be returned to the OS
+    out = np.where(mask, r, 1.0)
+    bk = bessel_k(nu, out)
+    out **= nu
+    out *= amp
+    out *= bk
+    out[~mask] = params.kappa_sq
     return out
 
 

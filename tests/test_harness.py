@@ -170,10 +170,21 @@ def test_run_experiment_serial_and_parallel_agree():
 
 def test_run_horizon_family_reschedules_tau():
     cfg = small_config(horizon=64)
-    regs = run_horizon_family(cfg, (8, 16, 32), 0)
+    played, regs = run_horizon_family(cfg, (8, 16, 32), 0)
+    assert played.tolist() == [8, 16, 32]
     assert regs.shape == (3,)
     t8 = run_game(ExperimentConfig(**{**cfg.__dict__, "horizon": 8}), 0)
     assert t8.tau == pytest.approx(8.0 ** (1.0 / 3.0))
+
+
+def test_run_horizon_family_reports_rounds_played():
+    # at d = 2 the shattering stream of horizon 8 has 2^2 cubes and that of
+    # horizon 32 has 5^2; a game played at the horizon stands in for its member
+    cfg = small_config(d=2, regime="hard", beta=0.9, p=4, adversary="shattering", horizon=32)
+    full = run_game(cfg, 0)
+    played, regs = run_horizon_family(cfg, (8, 32), 0, full=full)
+    assert played.tolist() == [4, 25]
+    assert regs[-1] == full.final_regret("bump")
 
 
 def test_domain_warning_for_out_of_box_inputs():
