@@ -25,7 +25,8 @@ eps_star = balanced_epsilon(base.horizon, 1.0)
 print(f"net scale in use: epsilon = {base.ewa_epsilon} "
       f"(entropy-balancing scale would be epsilon* = {eps_star:.4f}, "
       f"N = {net_cardinality(1.0, 1.0, eps_star):.3g} experts)")
-print(f"enumerated net at epsilon = {base.ewa_epsilon}: N = {net_cardinality(1.0, 1.0, 0.5):.0f}\n")
+print(f"net at epsilon = {base.ewa_epsilon}: N = {net_cardinality(1.0, 1.0, base.ewa_epsilon):.0f} experts, "
+      "aggregated as a chain over its cells (never listed)\n")
 
 curves = {"kaar": [], "ewa": []}
 cps = None

@@ -32,7 +32,7 @@ import numpy as np
 
 from .configio import ConfigError, apply_overrides, parse_config, parse_config_text, write_config
 from .effdim import effective_dimension, scaling_fit
-from .ewa import balanced_epsilon, net_cardinality
+from .ewa import balanced_epsilon, build_net
 from .harness import (
     ExperimentConfig,
     GameFailure,
@@ -40,7 +40,7 @@ from .harness import (
     estimate_exponent,
     point_layout,
     run_bench,
-    run_game,
+    run_compare,
     write_effdim_csv,
     write_plot_data,
     write_summary_csv,
@@ -221,17 +221,9 @@ def cmd_compare(args) -> int:
     if config.d != 1:
         raise ConfigError("compare runs the EWA baseline, which supports d = 1 only")
     outs = _Outputs(_out_dir(config))
-    comp_id = _primary_comparator_id(config)
     try:
-        kaar_cfg = replace(config, forecaster="kaar_clipped")
-        ewa_cfg = replace(config, forecaster="ewa")
-        ewa_cfg.validate()
-        rows = []
-        for seed in config.seeds:
-            tk = run_game(kaar_cfg, seed)
-            te = run_game(ewa_cfg, seed)
-            for c in tk.checkpoints:
-                rows.append((seed, c, tk.regret_at(comp_id, c), te.regret_at(comp_id, c)))
+        results = run_compare(config)
+        rows = [(seed, *row) for seed in config.seeds for row in results[seed]]
         with open(outs.path(f"{config.name}_compare.csv"), "w") as fh:
             fh.write("seed,t,regret_kaar,regret_ewa\n")
             for seed, c, rk, re_ in rows:
@@ -256,11 +248,10 @@ def cmd_net_info(args) -> int:
     eps_star = balanced_epsilon(config.horizon, beta)
     if eps is None:
         eps = eps_star
-    count = net_cardinality(beta, config.clip_m, eps)
-    m_cells = max(1, math.ceil((2.0 * config.clip_m / eps) ** (1.0 / beta)))
+    net = build_net(beta, config.clip_m, eps)
     print(f"expert net for beta={beta}, M={config.clip_m}, epsilon={eps:.6g}")
-    print(f"  cells: {m_cells}")
-    print(f"  cardinality: {count:.6g}  (log: {math.log(count):.3f})")
+    print(f"  cells: {net.m_cells}")
+    print(f"  cardinality: {net.n_experts:.6g}  (log: {math.log(net.n_experts):.3f})")
     print(f"  entropy-balancing scale for horizon {config.horizon}: epsilon* = {eps_star:.6g}")
     return EXIT_OK
 

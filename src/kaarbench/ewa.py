@@ -3,9 +3,9 @@
 The baseline discretizes a Holder ball (one-dimensional, exponent
 beta in (0, 1], radius M in both sup norm and Holder seminorm) by an
 epsilon-net of piecewise-constant functions, then aggregates the finite
-expert set with exponential weights:
+expert set with exponential weights from a uniform prior:
 
-    w_i  <-  w_i * exp(-eta (y - f_i(x))^2),  renormalized,
+    w_i  proportional to  exp(-eta sum_s (y_s - f_i(x_s))^2),
 
 predicting the weighted average sum_i w_i f_i(x).  Squared loss with
 predictions and labels in [-M, M] is 1/(8 M^2)-exp-concave, so with
@@ -22,9 +22,15 @@ epsilon/2 even when epsilon does not divide M), with adjacent-cell jumps
 bounded by 2 epsilon, which is all a quantized Holder function can do.
 Every ball member is then within epsilon in sup norm of some expert, and the
 count N satisfies log N = O(epsilon^{-1/beta}) as the metric entropy of the
-ball dictates.  The construction is exponential in the horizon once epsilon
-is balanced (that is the point of the comparison), so it is deliberately
-restricted to d = 1.
+ball dictates.  Only d = 1 is implemented.
+
+The experts are the paths through a layered graph (m cells, G grid values,
+the jump adjacency between neighbouring cells), and a round's loss depends
+only on an expert's value in the cell containing x, so the weights factorize
+over cells (the path kernels of Takimoto and Warmuth, JMLR 2003).  The net
+keeps eta times each cell's cumulative loss per grid value, and a prediction
+is the mean of the chain marginal at x's cell, from a log-space
+forward-backward pass in O(m G^2).  No expert is ever listed.
 
 The entropy-balancing scale is epsilon* ~ n^{-beta/(beta+d)}; it is exposed
 as `balanced_epsilon` but never hard-coded, since the interesting regimes
@@ -34,7 +40,7 @@ are often run off-balance.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -48,40 +54,25 @@ __all__ = [
     "balanced_epsilon",
 ]
 
-# enumeration guard: nets beyond this size are a configuration mistake
-MAX_EXPERTS = 200_000
-
 
 @dataclass
 class ExpertNet:
-    """A finite expert set (piecewise-constant on a shared partition) plus weights."""
+    """The jump graph of a piecewise-constant expert net plus its per-cell losses."""
 
-    values: np.ndarray       # (N, m): expert i's value on cell j
-    edges: np.ndarray        # (m + 1,) cell boundaries spanning [-1, 1]
+    grid: np.ndarray     # (G,) expert values
+    allowed: np.ndarray  # (G, G) jumps permitted between adjacent cells
+    m_cells: int
     epsilon: float
     beta: float
     clip_m: float
     eta: float
-    weights: np.ndarray = field(default=None)  # type: ignore[assignment]
+    S: np.ndarray        # (m, G): eta times the cumulative squared loss of grid[g] on cell j
+    n_experts: float     # number of paths through the graph
 
-    def __post_init__(self):
-        if self.weights is None:
-            n = self.values.shape[0]
-            self.weights = np.full(n, 1.0 / n)
-
-    @property
-    def n_experts(self) -> int:
-        return int(self.values.shape[0])
-
-    def cell_of(self, x) -> np.ndarray:
-        """Index of the partition cell containing each query point."""
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        m = self.values.shape[1]
-        idx = np.floor((xs + 1.0) / 2.0 * m).astype(int)
-        return np.clip(idx, 0, m - 1)
-
-    def expert_values_at(self, x: float) -> np.ndarray:
-        return self.values[:, int(self.cell_of(x)[0])]
+    def cell_of(self, x) -> int:
+        """Index of the partition cell containing the point x (a scalar or a 1-vector)."""
+        idx = np.floor((np.atleast_1d(np.asarray(x, dtype=float))[0] + 1.0) / 2.0 * self.m_cells)
+        return int(np.clip(idx.astype(int), 0, self.m_cells - 1))
 
 
 def _value_grid(clip_m: float, epsilon: float) -> np.ndarray:
@@ -104,7 +95,7 @@ def _jump_graph(beta: float, clip_m: float, epsilon: float):
 
 
 def net_cardinality(beta: float, clip_m: float, epsilon: float) -> float:
-    """Number of experts the net would contain, by dynamic programming."""
+    """Number of experts in the net, by dynamic programming."""
     grid, m_cells, allowed = _jump_graph(beta, clip_m, epsilon)
     counts = np.ones(len(grid), dtype=float)
     for _ in range(m_cells - 1):
@@ -113,45 +104,49 @@ def net_cardinality(beta: float, clip_m: float, epsilon: float) -> float:
 
 
 def build_net(beta: float, clip_m: float, epsilon: float, d: int = 1) -> ExpertNet:
-    """Enumerate the epsilon-net of the Holder(beta, M) ball on [-1, 1].
-
-    Only d = 1 is supported; the net size is exponential in (1/epsilon)^(1/beta)
-    and enumeration is refused beyond MAX_EXPERTS.
-    """
+    """The epsilon-net of the Holder(beta, M) ball on [-1, 1], with zero losses."""
     if d != 1:
         raise ValueError(f"expert net construction is implemented for d=1 only, got d={d}")
     grid, m_cells, allowed = _jump_graph(beta, clip_m, epsilon)
-    total = net_cardinality(beta, clip_m, epsilon)
-    if total > MAX_EXPERTS:
-        raise ValueError(
-            f"net would contain ~{total:.3g} experts (> {MAX_EXPERTS}); increase epsilon"
-        )
+    return ExpertNet(
+        grid=grid, allowed=allowed, m_cells=m_cells, epsilon=float(epsilon), beta=float(beta),
+        clip_m=float(clip_m), eta=1.0 / (8.0 * clip_m**2), S=np.zeros((m_cells, len(grid))),
+        n_experts=net_cardinality(beta, clip_m, epsilon),
+    )
 
-    paths: list[list[int]] = [[i] for i in range(len(grid))]
-    for _ in range(m_cells - 1):
-        paths = [p + [j] for p in paths for j in np.nonzero(allowed[p[-1]])[0]]
-    values = grid[np.asarray(paths)]
-    edges = np.linspace(-1.0, 1.0, m_cells + 1)
-    eta = 1.0 / (8.0 * clip_m**2)
-    return ExpertNet(values=values, edges=edges, epsilon=float(epsilon), beta=float(beta), clip_m=float(clip_m), eta=eta)
+
+def _softmin(a: np.ndarray, axis: int) -> np.ndarray:
+    """-log sum exp(-a) along an axis, shifted by the minimum so nothing underflows."""
+    lo = a.min(axis=axis)
+    return lo - np.log(np.exp(lo - a).sum(axis=axis))
+
+
+def _chain(allowed: np.ndarray, rows, reduce) -> np.ndarray:
+    """Message into the cell after `rows`: entry h reduces the summed row costs
+    over the paths that continue to grid[h] (reduce: _softmin or np.min)."""
+    jump_cost = np.where(allowed, 0.0, np.inf)
+    msg = np.zeros(len(allowed))
+    for row in rows:
+        msg = reduce((msg + row)[:, None] + jump_cost, axis=0)
+    return msg
 
 
 def ewa_predict(net: ExpertNet, x) -> float:
-    """Weighted-average prediction sum_i w_i f_i(x)."""
-    return float(net.weights @ net.expert_values_at(float(np.atleast_1d(x)[0])))
+    """Weighted-average prediction sum_i w_i f_i(x), as the mean of the chain marginal."""
+    c = net.cell_of(x)
+    below = _chain(net.allowed, net.S[:c], _softmin)
+    above = _chain(net.allowed, net.S[:c:-1], _softmin)
+    energy = below + net.S[c] + above
+    p = np.exp(energy.min() - energy)
+    return float(net.grid @ p / p.sum())
 
 
 def ewa_update(net: ExpertNet, x, y: float) -> ExpertNet:
     """Exponential-weights update on the squared loss at (x, y); mutates and returns net."""
     if not math.isfinite(y):
         raise ValueError(f"label must be finite, got {y}")
-    preds = net.expert_values_at(float(np.atleast_1d(x)[0]))
-    losses = (y - preds) ** 2
-    with np.errstate(divide="ignore"):  # zero weights stay zero
-        logw = np.log(net.weights) - net.eta * losses
-    logw -= logw.max()
-    w = np.exp(logw)
-    net.weights = w / w.sum()
+    c = net.cell_of(x)
+    net.S[c] += net.eta * (y - net.grid) ** 2
     return net
 
 

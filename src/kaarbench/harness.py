@@ -47,6 +47,7 @@ __all__ = [
     "run_experiment",
     "run_horizon_family",
     "run_family",
+    "run_compare",
     "estimate_exponent",
     "kahan_cumsum",
     "point_layout",
@@ -388,6 +389,19 @@ def bench_seed(config: ExperimentConfig, fit_ns: tuple[int, ...], seed: int):
 def run_bench(config: ExperimentConfig, fit_ns) -> dict[int, tuple[GameTrace, np.ndarray, np.ndarray]]:
     """bench_seed across all seeds, pooled per config.threads."""
     return _map_seeds(bench_seed, config, tuple(fit_ns))
+
+
+def compare_seed(config: ExperimentConfig, seed: int) -> list[tuple[int, float, float]]:
+    """(t, clipped-kernel regret, EWA regret) at each checkpoint of one seed's stream."""
+    comp_id = "bump" if config.adversary == "shattering" else config.comparator
+    kaar = run_game(replace(config, forecaster="kaar_clipped"), seed)
+    ewa = run_game(replace(config, forecaster="ewa"), seed)
+    return [(c, kaar.regret_at(comp_id, c), ewa.regret_at(comp_id, c)) for c in kaar.checkpoints]
+
+
+def run_compare(config: ExperimentConfig) -> dict[int, list[tuple[int, float, float]]]:
+    """compare_seed across all seeds, pooled per config.threads."""
+    return _map_seeds(compare_seed, config)
 
 
 @dataclass

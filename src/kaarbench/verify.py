@@ -18,7 +18,7 @@ import numpy as np
 
 from .adversary import BumpComparator, RepresenterComparator, iid_stream, mollifier_g
 from .effdim import effective_dimension
-from .ewa import build_net, ewa_predict, ewa_update
+from .ewa import _chain, build_net, ewa_predict, ewa_update
 from .kaar import KaarForecaster, regret_certificate
 from .kernel import KernelParams, diagonal_value, gram, kernel_eval
 from .special import bessel_k, gamma
@@ -144,18 +144,17 @@ def check_clipping_dominance() -> CheckResult:
 def check_ewa_bound() -> CheckResult:
     rng = np.random.default_rng(9)
     net = build_net(beta=1.0, clip_m=1.0, epsilon=0.5)
-    n_experts = net.n_experts
     xs = rng.uniform(-1, 1, 400)
     ys = rng.uniform(-1, 1, 400)
     ewa_loss = 0.0
-    expert_losses = np.zeros(n_experts)
     for x, y in zip(xs, ys):
         pred = ewa_predict(net, x)
         ewa_loss += (y - pred) ** 2
-        expert_losses += (y - net.expert_values_at(x)) ** 2
         ewa_update(net, x, y)
-    slack = math.log(n_experts) / net.eta - (ewa_loss - expert_losses.min())
-    return CheckResult("EWA aggregation bound", slack >= 0, f"bound slack {slack:.3f} (N={n_experts})")
+    losses = net.S / net.eta
+    best = float((_chain(net.allowed, losses[:-1], np.min) + losses[-1]).min())
+    slack = math.log(net.n_experts) / net.eta - (ewa_loss - best)
+    return CheckResult("EWA aggregation bound", slack >= 0, f"bound slack {slack:.3f} (N={net.n_experts:.0f})")
 
 
 def check_mollifier() -> CheckResult:

@@ -22,6 +22,8 @@ from kaarbench.kaar import KaarForecaster, regret_certificate
 from kaarbench.kernel import KernelParams, diagonal_value, gram, kernel_eval
 from kaarbench.special import bessel_k
 
+from expert_paths import EnumeratedEwa, enumerate_experts
+
 WORKERS = 2
 
 
@@ -234,22 +236,22 @@ def test_criterion_7_kernel_psd_and_diagonal():
 
 def test_criterion_8_ewa_aggregation_bound():
     slacks = []
-    n_experts = None
+    values = enumerate_experts(1.0, 1.0, 0.5)
+    n_experts = len(values)
+    assert n_experts <= 512
     for seed in range(10):
         rng = np.random.default_rng(1000 + seed)
         net = build_net(beta=1.0, clip_m=1.0, epsilon=0.5)
-        n_experts = net.n_experts
-        assert n_experts <= 512
         assert net.eta == pytest.approx(1.0 / 8.0)
+        oracle = EnumeratedEwa(values, net.eta)
         ewa_loss = 0.0
-        expert_losses = np.zeros(n_experts)
         for _ in range(1000):
             x = float(rng.uniform(-1, 1))
             y = float(rng.uniform(-1, 1))
             ewa_loss += (y - ewa_predict(net, x)) ** 2
-            expert_losses += (y - net.expert_values_at(x)) ** 2
+            oracle.update(x, y)
             ewa_update(net, x, y)
-        slacks.append(8.0 * math.log(n_experts) - (ewa_loss - float(expert_losses.min())))
+        slacks.append(8.0 * math.log(n_experts) - (ewa_loss - float(oracle.losses.min())))
     check(
         "criterion 8 (EWA aggregation bound)",
         all(sl >= 0 for sl in slacks),

@@ -171,13 +171,31 @@ def test_compare_small(config_file, tmp_path):
     assert lines[0] == "seed,t,regret_kaar,regret_ewa"
     assert (out / "clismoke_kaar.dat").is_file()
     assert (out / "clismoke_ewa.dat").is_file()
-    # byte-identical rerun
+    # byte-identical rerun, and again with the seeds across two workers
     first = csv.read_bytes()
     assert main([
         "compare", "--config", str(config_file), "--out", str(out),
         "--override", "ewa.epsilon=0.5",
     ]) == EXIT_OK
     assert csv.read_bytes() == first
+    assert main([
+        "compare", "--config", str(config_file), "--out", str(out), "--threads", "2",
+        "--override", "ewa.epsilon=0.5",
+    ]) == EXIT_OK
+    assert csv.read_bytes() == first
+
+
+def test_compare_fine_net(config_file, tmp_path):
+    # 3.4e5 experts at epsilon = 0.25: the net is a chain, never listed
+    out = tmp_path / "fine"
+    code = main([
+        "compare", "--config", str(config_file), "--out", str(out),
+        "--override", "ewa.epsilon=0.25",
+    ])
+    assert code == EXIT_OK
+    lines = (out / "clismoke_compare.csv").read_text().strip().splitlines()
+    assert lines[0] == "seed,t,regret_kaar,regret_ewa"
+    assert len(lines) > 1
 
 
 def test_compare_rejects_d2(config_file, tmp_path):
