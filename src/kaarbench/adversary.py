@@ -296,7 +296,7 @@ def shattering_stream(n_grid: int, d: int, clip_m: float, beta: float, rng) -> S
     label signs, so it matches the sign of every label at every queried
     center and beats the constant-zero predictor on the whole stream.
     """
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     n_cubes = int(math.floor(2.0 * n_grid ** (1.0 / d))) ** d
     signs = rng.choice([-1.0, 1.0], size=n_cubes)
     comp = BumpComparator(n_grid, d, beta, clip_m, signs)
@@ -309,7 +309,7 @@ def iid_stream(f, noise_sd: float, n: int, rng, clip_m: float = 1.0) -> Stream:
     """Benign stream: uniform inputs on [-1, 1]^d, labels f(x) + noise clamped to [-M, M]."""
     if noise_sd < 0:
         raise ValueError(f"noise_sd must be >= 0, got {noise_sd}")
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     d = f.dim
     xs = rng.uniform(-1.0, 1.0, size=(n, d))
     ys = f.evaluate(xs)

@@ -21,7 +21,6 @@ and leaves a FAILED.txt tombstone in the output directory.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from dataclasses import replace
@@ -66,8 +65,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# failures of the numerics, as opposed to the config; main maps them to EXIT_NUMERICAL
+NUMERICAL_ERRORS = (GameFailure, NumericalBreakdownError, np.linalg.LinAlgError, FloatingPointError, OverflowError)
+
+
 class _Outputs:
-    """Tracks files written by one command so a failure can clean them up."""
+    """Tracks files written by one command; a numerical failure inside its
+    `with` block removes them and leaves a FAILED.txt tombstone."""
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
@@ -79,14 +83,19 @@ class _Outputs:
         self.written.append(p)
         return p
 
-    def tombstone(self, message: str) -> None:
+    def __enter__(self) -> _Outputs:
+        return self
+
+    def __exit__(self, exc_type, exc, _tb) -> None:
+        if exc_type is None or not issubclass(exc_type, NUMERICAL_ERRORS):
+            return
         for p in self.written:
             try:
                 p.unlink(missing_ok=True)
             except OSError:
                 pass
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        (self.out_dir / "FAILED.txt").write_text(message + "\n")
+        (self.out_dir / "FAILED.txt").write_text(f"{exc}\n")
 
 
 def _load_config(spec: str) -> ExperimentConfig:
@@ -121,27 +130,21 @@ def _out_dir(config: ExperimentConfig) -> Path:
     return Path(config.out_dir or os.environ.get("KAARBENCH_OUT", "results"))
 
 
-def _primary_comparator_id(config: ExperimentConfig) -> str:
-    return "bump" if config.adversary == "shattering" else config.comparator
-
-
 def cmd_bench(args) -> int:
     """Run the (horizon x seed) game grid; fresh games at each horizon keep
     the schedule's n-dependence honest when fitting the regret exponent."""
     config = _resolve(args)
-    outs = _Outputs(_out_dir(config))
-    try:
+    with _Outputs(_out_dir(config)) as outs:
         outs.path(f"{config.name}.resolved.cfg").write_text(write_config(config))
         checkpoints = config.checkpoints or default_checkpoints(config.horizon)
         fit_ns = tuple(c for c in checkpoints if c >= 8)
         results = run_bench(config, fit_ns)
-        comp_id = _primary_comparator_id(config)
         rows, slopes, families = [], [], []
         flagged = False
         for seed in config.seeds:
             trace, played, family = results[seed]
             write_trace_csv(trace, outs.path(f"{config.name}_seed{seed}.csv"))
-            row = {"seed": seed, "n": trace.n, "regret": trace.final_regret(comp_id), "slope": None}
+            row = {"seed": seed, "n": trace.n, "regret": trace.final_regret(config.comparator_id), "slope": None}
             if len(fit_ns) >= 4:
                 fit = estimate_exponent(played, family)
                 row["slope"] = fit.slope
@@ -164,20 +167,15 @@ def cmd_bench(args) -> int:
         else:
             print("  exponent fit skipped (fewer than 4 checkpoints)")
         return EXIT_OK
-    except (GameFailure, NumericalBreakdownError, FloatingPointError, OverflowError) as exc:
-        outs.tombstone(str(exc))
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 def cmd_effdim(args) -> int:
     config = _resolve(args)
-    outs = _Outputs(_out_dir(config))
     s, _ = config.schedule()
     params = KernelParams(config.d, s)
     ns = [int(tok) for tok in args.ns.split(",")]
     tau = args.tau
-    try:
+    with _Outputs(_out_dir(config)) as outs:
         rng = np.random.default_rng(config.seeds[0])
         reports = []
         for n in ns:
@@ -198,10 +196,6 @@ def cmd_effdim(args) -> int:
         else:
             print("  slope skipped (fewer than 4 grid sizes)")
         return EXIT_OK
-    except (np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
-        outs.tombstone(str(exc))
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 def cmd_verify(_args) -> int:
@@ -220,8 +214,7 @@ def cmd_compare(args) -> int:
     config = _resolve(args)
     if config.d != 1:
         raise ConfigError("compare runs the EWA baseline, which supports d = 1 only")
-    outs = _Outputs(_out_dir(config))
-    try:
+    with _Outputs(_out_dir(config)) as outs:
         results = run_compare(config)
         rows = [(seed, *row) for seed in config.seeds for row in results[seed]]
         with open(outs.path(f"{config.name}_compare.csv"), "w") as fh:
@@ -235,23 +228,16 @@ def cmd_compare(args) -> int:
         write_plot_data(outs.path(f"{config.name}_ewa.dat"), cps, mean_e)
         print(f"compare {config.name}: final mean regret kernel={mean_k[-1]:.4f} ewa={mean_e[-1]:.4f}")
         return EXIT_OK
-    except (GameFailure, NumericalBreakdownError, FloatingPointError, OverflowError) as exc:
-        outs.tombstone(str(exc))
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 def cmd_net_info(args) -> int:
     config = _resolve(args)
-    beta = config.ewa_beta if config.ewa_beta is not None else min(config.beta, 1.0)
-    eps = config.ewa_epsilon
+    beta, eps = config.ewa_scale()
     eps_star = balanced_epsilon(config.horizon, beta)
-    if eps is None:
-        eps = eps_star
     net = build_net(beta, config.clip_m, eps)
     print(f"expert net for beta={beta}, M={config.clip_m}, epsilon={eps:.6g}")
     print(f"  cells: {net.m_cells}")
-    print(f"  cardinality: {net.n_experts:.6g}  (log: {math.log(net.n_experts):.3f})")
+    print(f"  cardinality: {net.n_experts:.6g}  (log: {net.log_n_experts:.3f})")
     print(f"  entropy-balancing scale for horizon {config.horizon}: epsilon* = {eps_star:.6g}")
     return EXIT_OK
 
@@ -301,10 +287,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except NUMERICAL_ERRORS as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except ValueError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from itertools import groupby
 
 from .harness import ExperimentConfig
 
@@ -101,9 +102,29 @@ _SCHEMA = {
 }
 
 
+def _parse_entry(where: str, section: str, key: str, value: str) -> tuple[str, object]:
+    """Config field name and parsed value of one `[section] key = value` entry."""
+    try:
+        field_name, parser = _SCHEMA[(section, key)]
+    except KeyError:
+        raise ConfigError(f"{where}: unknown key [{section}] {key}") from None
+    try:
+        return field_name, parser(value)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def _validated(config: ExperimentConfig, where: str) -> ExperimentConfig:
+    try:
+        config.validate()
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    return config
+
+
 def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
     """Parse config text into an ExperimentConfig (validated)."""
-    fields: dict = {}
+    entries = []
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -117,22 +138,9 @@ def parse_config_text(text: str, source: str = "<string>") -> ExperimentConfig:
         if section is None:
             raise ConfigError(f"{source}:{lineno}: key outside any [section]")
         key, _, value = line.partition("=")
-        key = key.strip().lower()
         value = value.split("#", 1)[0].strip()
-        try:
-            field_name, parser = _SCHEMA[(section, key)]
-        except KeyError:
-            raise ConfigError(f"{source}:{lineno}: unknown key [{section}] {key}") from None
-        try:
-            fields[field_name] = parser(value)
-        except ConfigError as exc:
-            raise ConfigError(f"{source}:{lineno}: {exc}") from None
-    config = ExperimentConfig(**fields)
-    try:
-        config.validate()
-    except ValueError as exc:
-        raise ConfigError(f"{source}: {exc}") from exc
-    return config
+        entries.append(_parse_entry(f"{source}:{lineno}", section, key.strip().lower(), value))
+    return _validated(ExperimentConfig(**dict(entries)), source)
 
 
 def parse_config(path) -> ExperimentConfig:
@@ -140,62 +148,29 @@ def parse_config(path) -> ExperimentConfig:
         return parse_config_text(fh.read(), source=str(path))
 
 
-def _fmt_value(v) -> str:
+def _fmt_value(field_name: str, v) -> str:
     if v is None:
-        return "none"
-    if isinstance(v, float):
-        if math.isinf(v):
-            return "inf"
-        return repr(v)
-    return str(v)
+        return "pow2" if field_name == "checkpoints" else "none"
+    if isinstance(v, tuple):
+        return ",".join(map(str, v))
+    return str(v)  # a float's shortest round-trip form (also for numpy floats and inf)
 
 
 def write_config(config: ExperimentConfig) -> str:
-    """Canonical resolved text form; reparses to an identical config."""
-    lines = [
-        "[experiment]",
-        f"name = {config.name}",
-        f"horizon = {config.horizon}",
-        "seeds = " + ",".join(str(s) for s in config.seeds),
-        "checkpoints = " + ("pow2" if config.checkpoints is None else ",".join(map(str, config.checkpoints))),
-        f"threads = {config.threads}",
-        "",
-        "[kernel]",
-        f"d = {config.d}",
-        f"regime = {config.regime}",
-        f"beta = {_fmt_value(config.beta)}",
-        f"p = {_fmt_value(config.p)}",
-        f"epsilon = {_fmt_value(config.epsilon)}",
-        f"s = {_fmt_value(config.s)}",
-        f"tau = {_fmt_value(config.tau)}",
-        "",
-        "[forecaster]",
-        f"id = {config.forecaster}",
-        f"clip_m = {_fmt_value(config.clip_m)}",
-        "",
-        "[ewa]",
-        f"epsilon = {_fmt_value(config.ewa_epsilon)}",
-        f"beta = {_fmt_value(config.ewa_beta)}",
-        "",
-        "[adversary]",
-        f"id = {config.adversary}",
-        f"noise_sd = {_fmt_value(config.noise_sd)}",
-        f"comparator = {config.comparator}",
-        f"centers = {config.comparator_centers}",
-        f"norm = {_fmt_value(config.comparator_norm)}",
-        f"comparator_seed = {config.comparator_seed}",
-        f"n_grid = {_fmt_value(config.n_grid)}",
-        "",
-        "[output]",
-        f"dir = {_fmt_value(config.out_dir)}",
-        "",
-    ]
-    return "\n".join(lines)
+    """Canonical resolved text form of every schema key, section by section;
+    reparses to an identical config."""
+    blocks = []
+    for section, entries in groupby(_SCHEMA.items(), key=lambda entry: entry[0][0]):
+        body = "".join(
+            f"{key} = {_fmt_value(name, getattr(config, name))}\n" for (_, key), (name, _) in entries
+        )
+        blocks.append(f"[{section}]\n{body}")
+    return "\n".join(blocks)
 
 
 def apply_overrides(config: ExperimentConfig, overrides: list[str]) -> ExperimentConfig:
     """Apply repeatable `section.key=value` command-line overrides."""
-    fields: dict = {}
+    entries = []
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override must look like section.key=value, got {item!r}")
@@ -203,14 +178,5 @@ def apply_overrides(config: ExperimentConfig, overrides: list[str]) -> Experimen
         if "." not in dotted:
             raise ConfigError(f"override key must be section.key, got {dotted!r}")
         section, _, key = dotted.strip().lower().partition(".")
-        try:
-            field_name, parser = _SCHEMA[(section, key)]
-        except KeyError:
-            raise ConfigError(f"unknown override key {dotted!r}") from None
-        fields[field_name] = parser(value.strip())
-    out = replace(config, **fields)
-    try:
-        out.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return out
+        entries.append(_parse_entry(f"override {item!r}", section, key, value.strip()))
+    return _validated(replace(config, **dict(entries)), "overrides")

@@ -20,7 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["EffDimReport", "effective_dimension", "scaling_fit"]
+__all__ = ["EffDimReport", "effective_dimension", "scaling_fit", "loglog_fit"]
+
+# the symmetry check compares about this many entries at a time, so that at
+# large n it adds no whole-matrix temporaries beside eigvalsh's own copy
+_SYMMETRY_BLOCK = 1 << 16
 
 
 @dataclass
@@ -48,13 +52,16 @@ def effective_dimension(gram_matrix: np.ndarray, tau: float) -> EffDimReport:
         raise ValueError(f"expected a square matrix, got shape {K.shape}")
     if tau <= 0 or not np.isfinite(tau):
         raise ValueError(f"tau must be a positive finite real, got {tau}")
-    scale = max(1.0, float(np.abs(K).max()))
-    if not np.allclose(K, K.T, atol=1e-12 * scale, rtol=0.0):
+    n = K.shape[0]
+    scale = max(1.0, float(K.max()), float(-K.min()))
+    rows = max(1, _SYMMETRY_BLOCK // n)
+    if not all(np.allclose(K[i:i + rows], K[:, i:i + rows].T, atol=1e-12 * scale, rtol=0.0)
+               for i in range(0, n, rows)):
         raise ValueError("effective_dimension: matrix is not symmetric")
     lam = np.linalg.eigvalsh(K)[::-1]
     lam = np.maximum(lam, 0.0)
     value = float(np.sum(lam / (lam + tau)))
-    return EffDimReport(n=K.shape[0], tau=float(tau), value=value, eigenvalues=lam)
+    return EffDimReport(n=n, tau=float(tau), value=value, eigenvalues=lam)
 
 
 def scaling_fit(reports: list[EffDimReport]) -> tuple[float, float]:
@@ -70,11 +77,17 @@ def scaling_fit(reports: list[EffDimReport]) -> tuple[float, float]:
     ratio = np.array([rep.n / rep.tau for rep in reports], dtype=float)
     if np.any(vals <= 0):
         raise ValueError("scaling_fit: all d_eff values must be positive")
-    x = np.log(ratio)
-    y = np.log(vals)
+    slope, _, r_squared = loglog_fit(ratio, vals)
+    return slope, r_squared
+
+
+def loglog_fit(xs, ys) -> tuple[float, float, float]:
+    """OLS fit of log ys against log xs; returns (slope, intercept, r_squared)."""
+    x = np.log(xs)
+    y = np.log(ys)
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_res = float(np.sum(resid**2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return float(slope), float(r_squared)
+    return float(slope), float(intercept), r_squared

@@ -67,7 +67,15 @@ class ExpertNet:
     clip_m: float
     eta: float
     S: np.ndarray        # (m, G): eta times the cumulative squared loss of grid[g] on cell j
-    n_experts: float     # number of paths through the graph
+    log_n_experts: float  # log of the number of paths through the graph
+
+    @property
+    def n_experts(self) -> float:
+        """Number of experts, rounded to an integer; inf past the float range."""
+        try:
+            return float(round(math.exp(self.log_n_experts)))
+        except OverflowError:
+            return math.inf
 
     def cell_of(self, x) -> int:
         """Index of the partition cell containing the point x (a scalar or a 1-vector)."""
@@ -95,12 +103,8 @@ def _jump_graph(beta: float, clip_m: float, epsilon: float):
 
 
 def net_cardinality(beta: float, clip_m: float, epsilon: float) -> float:
-    """Number of experts in the net, by dynamic programming."""
-    grid, m_cells, allowed = _jump_graph(beta, clip_m, epsilon)
-    counts = np.ones(len(grid), dtype=float)
-    for _ in range(m_cells - 1):
-        counts = allowed @ counts
-    return float(counts.sum())
+    """Number of experts in the net (inf past the float range)."""
+    return build_net(beta, clip_m, epsilon).n_experts
 
 
 def build_net(beta: float, clip_m: float, epsilon: float, d: int = 1) -> ExpertNet:
@@ -108,10 +112,12 @@ def build_net(beta: float, clip_m: float, epsilon: float, d: int = 1) -> ExpertN
     if d != 1:
         raise ValueError(f"expert net construction is implemented for d=1 only, got d={d}")
     grid, m_cells, allowed = _jump_graph(beta, clip_m, epsilon)
+    # the path count in log space: the chain pass over zero losses
+    log_paths = -_softmin(_chain(allowed, np.zeros((m_cells - 1, len(grid))), _softmin), axis=0)
     return ExpertNet(
         grid=grid, allowed=allowed, m_cells=m_cells, epsilon=float(epsilon), beta=float(beta),
         clip_m=float(clip_m), eta=1.0 / (8.0 * clip_m**2), S=np.zeros((m_cells, len(grid))),
-        n_experts=net_cardinality(beta, clip_m, epsilon),
+        log_n_experts=float(log_paths),
     )
 
 
@@ -160,10 +166,6 @@ class EwaForecaster:
 
     def __init__(self, net: ExpertNet):
         self.net = net
-
-    @property
-    def clip_m(self) -> float:
-        return self.net.clip_m
 
     def predict(self, x) -> float:
         return ewa_predict(self.net, x)

@@ -34,6 +34,7 @@ from .adversary import (
     iid_stream,
     shattering_stream,
 )
+from .effdim import loglog_fit
 from .ewa import EwaForecaster, balanced_epsilon, build_net
 from .kaar import KaarForecaster, NumericalBreakdownError, Schedule, schedule_tau
 from .kernel import KernelParams
@@ -71,6 +72,10 @@ class GameFailure(RuntimeError):
     def __init__(self, message: str, round_index: int):
         super().__init__(message)
         self.round_index = round_index
+
+    def __reduce__(self):
+        # both arguments, so a failure in a worker process unpickles in the parent
+        return type(self), (str(self), self.round_index)
 
 
 @dataclass(frozen=True)
@@ -123,6 +128,8 @@ class ExperimentConfig:
             raise ValueError("the EWA expert-net forecaster only supports d = 1")
         if self.adversary == "iid" and self.comparator == "bump":
             raise ValueError("bump comparators pair with shattering streams; iid streams take representer or zero")
+        if self.ewa_beta is not None and not 0 < self.ewa_beta <= 1:
+            raise ValueError(f"ewa.beta must lie in (0, 1], got {self.ewa_beta}")
         if not self.seeds:
             raise ValueError("need at least one seed")
         if self.threads < 1:
@@ -136,6 +143,18 @@ class ExperimentConfig:
             n=self.horizon, s=self.s, tau=self.tau,
         )
         return schedule_tau(sched, self.d)
+
+    @property
+    def comparator_id(self) -> str:
+        """The stream's own comparator, whose regret the reports show."""
+        return "bump" if self.adversary == "shattering" else self.comparator
+
+    def ewa_scale(self) -> tuple[float, float]:
+        """(beta, epsilon) of the EWA expert net; unset values default to
+        min(beta, 1) and the entropy-balancing epsilon* at the horizon."""
+        beta = min(self.beta, 1.0) if self.ewa_beta is None else self.ewa_beta
+        eps = balanced_epsilon(self.horizon, beta) if self.ewa_epsilon is None else self.ewa_epsilon
+        return beta, eps
 
 
 @dataclass
@@ -255,11 +274,8 @@ def make_forecaster(config: ExperimentConfig, params: KernelParams, tau: float):
     if config.forecaster in ("kaar", "kaar_clipped"):
         return KaarForecaster(params, tau, clip_m=config.clip_m)
     if config.forecaster == "ewa":
-        eps = config.ewa_epsilon
-        if eps is None:
-            eps = balanced_epsilon(config.horizon, config.ewa_beta or min(config.beta, 1.0))
-        net = build_net(config.ewa_beta or min(config.beta, 1.0), config.clip_m, eps)
-        return EwaForecaster(net)
+        beta, eps = config.ewa_scale()
+        return EwaForecaster(build_net(beta, config.clip_m, eps))
     if config.forecaster == "zero":
         return _zero_forecaster()
     raise ValueError(f"unknown forecaster id {config.forecaster!r}")
@@ -286,7 +302,7 @@ def run_game(config: ExperimentConfig, seed: int | None = None) -> GameTrace:
         warnings.warn("stream inputs leave [-1, 1]^d; the kernel formula remains valid", stacklevel=2)
         flags = ("inputs-outside-domain",)
 
-    comp_id = "bump" if config.adversary == "shattering" else config.comparator
+    comp_id = config.comparator_id
     comparators: dict[str, object] = {comp_id: stream.comparator}
     if comp_id != "zero":
         comparators["zero"] = ZeroComparator(dim=config.d)
@@ -361,14 +377,13 @@ def run_horizon_family(
     `full`, a game already played at config.horizon for this seed, stands in
     for the family member at that horizon instead of a replay.
     """
-    comp_id = "bump" if config.adversary == "shattering" else config.comparator
     games = [
         full if full is not None and n == config.horizon
         else run_game(replace(config, horizon=n, checkpoints=None), seed)
         for n in ns
     ]
     played = np.array([game.n for game in games], dtype=int)
-    return played, np.array([game.final_regret(comp_id) for game in games])
+    return played, np.array([game.final_regret(config.comparator_id) for game in games])
 
 
 def run_family(config: ExperimentConfig, ns) -> dict[int, tuple[np.ndarray, np.ndarray]]:
@@ -393,7 +408,7 @@ def run_bench(config: ExperimentConfig, fit_ns) -> dict[int, tuple[GameTrace, np
 
 def compare_seed(config: ExperimentConfig, seed: int) -> list[tuple[int, float, float]]:
     """(t, clipped-kernel regret, EWA regret) at each checkpoint of one seed's stream."""
-    comp_id = "bump" if config.adversary == "shattering" else config.comparator
+    comp_id = config.comparator_id
     kaar = run_game(replace(config, forecaster="kaar_clipped"), seed)
     ewa = run_game(replace(config, forecaster="ewa"), seed)
     return [(c, kaar.regret_at(comp_id, c), ewa.regret_at(comp_id, c)) for c in kaar.checkpoints]
@@ -428,14 +443,8 @@ def estimate_exponent(ns, regrets, floor: float = 1e-8) -> ExponentFit:
     nonpos = regrets <= 0
     flagged = bool(nonpos.any())
     all_nonpos = bool(nonpos.all())
-    y = np.log(np.maximum(regrets, floor))
-    x = np.log(ns)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_res = float(np.sum(resid**2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
-    r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return ExponentFit(float(slope), float(intercept), float(r_squared), flagged, all_nonpos)
+    slope, intercept, r_squared = loglog_fit(ns, np.maximum(regrets, floor))
+    return ExponentFit(slope, intercept, r_squared, flagged, all_nonpos)
 
 
 def point_layout(kind: str, n: int, d: int, rng=None) -> np.ndarray:
@@ -446,7 +455,7 @@ def point_layout(kind: str, n: int, d: int, rng=None) -> np.ndarray:
     clustered: equal-weight gaussian blobs around a few anchors, clipped to
     the cube.
     """
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    rng = np.random.default_rng(rng)
     if kind == "equispaced":
         if d == 1:
             return np.linspace(-1.0, 1.0, n)[:, None]

@@ -68,6 +68,8 @@ __all__ = [
     "target_regret_exponent",
 ]
 
+_INITIAL_CAPACITY = 64  # rounds stored before the buffers first double
+
 
 class NumericalBreakdownError(RuntimeError):
     """Raised when the factor update hits a non-positive pivot twice."""
@@ -86,7 +88,7 @@ class KaarForecaster:
         Clip level M for predict_clipped; None disables clipping.
     """
 
-    def __init__(self, params: KernelParams, tau: float, clip_m: float | None = None, capacity: int = 64):
+    def __init__(self, params: KernelParams, tau: float, clip_m: float | None = None):
         if not (tau > 0 and math.isfinite(tau)):
             raise ValueError(f"tau must be a positive finite real, got {tau}")
         if clip_m is not None and not (clip_m > 0 and math.isfinite(clip_m)):
@@ -95,7 +97,7 @@ class KaarForecaster:
         self.tau = float(tau)
         self.clip_m = clip_m
         self._t = 0
-        cap = max(int(capacity), 8)
+        cap = _INITIAL_CAPACITY
         self._X = np.zeros((cap, params.d))
         self._Y = np.zeros(cap)
         self._ap = np.zeros(cap * (cap + 1) // 2)  # R, column-packed upper triangle

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import pdist, squareform
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from .special import bessel_k, gamma
 
@@ -33,6 +33,11 @@ __all__ = ["KernelParams", "diagonal_value", "kernel_eval", "gram", "kernel_of_d
 # below this separation the r^nu * K_nu(r) product is numerically
 # indeterminate; the analytic r -> 0 limit is exact there
 R_MIN = 1e-10
+
+# gram evaluates about this many kernel values at a time; whole-matrix
+# temporaries settle on the heap, and whether they are handed back to the OS
+# varies from one process to the next
+_GRAM_BLOCK = 1 << 16
 
 
 def diagonal_value(d: int, s: float) -> float:
@@ -113,16 +118,20 @@ def _as_points(params: KernelParams, points) -> np.ndarray:
 def gram(params: KernelParams, points) -> np.ndarray:
     """Kernel matrix K[i, j] = k(x_i, x_j) for a list of points.
 
-    Each unordered pair is evaluated once; the result is exactly symmetric
-    with kappa_sq on the diagonal.
+    Filled a block of rows at a time; each unordered pair is evaluated
+    once, and the result is exactly symmetric with kappa_sq on the diagonal.
     """
     pts = _as_points(params, points)
     n = pts.shape[0]
     if n == 0:
         raise ValueError("gram: need at least one point")
-    if n == 1:
-        return np.array([[params.kappa_sq]])
-    cond = kernel_of_dist(params, pdist(pts))
-    K = squareform(cond)
+    K = np.empty((n, n))
+    rows = max(1, _GRAM_BLOCK // n)
+    for i in range(0, n, rows):
+        j = min(i + rows, n)
+        K[i:j, i:j] = squareform(kernel_of_dist(params, pdist(pts[i:j])))
+        block = kernel_of_dist(params, cdist(pts[i:j], pts[j:]))
+        K[i:j, j:] = block
+        K[j:, i:j] = block.T
     np.fill_diagonal(K, params.kappa_sq)
     return K

@@ -153,7 +153,7 @@ def check_ewa_bound() -> CheckResult:
         ewa_update(net, x, y)
     losses = net.S / net.eta
     best = float((_chain(net.allowed, losses[:-1], np.min) + losses[-1]).min())
-    slack = math.log(net.n_experts) / net.eta - (ewa_loss - best)
+    slack = net.log_n_experts / net.eta - (ewa_loss - best)
     return CheckResult("EWA aggregation bound", slack >= 0, f"bound slack {slack:.3f} (N={net.n_experts:.0f})")
 
 

@@ -97,10 +97,12 @@ def test_bench_single_seed_flag(config_file, tmp_path):
     assert (out / "clismoke_seed7.csv").is_file()
 
 
-def test_bench_numerical_failure_tombstones(config_file, tmp_path):
+@pytest.mark.parametrize("command,threads", [("bench", "1"), ("compare", "1"), ("bench", "2"), ("compare", "2")])
+def test_numerical_failure_tombstones(config_file, tmp_path, command, threads):
+    # with two threads the failure is raised in a worker process
     out = tmp_path / "outfail"
     code = main([
-        "bench", "--config", str(config_file), "--out", str(out),
+        command, "--config", str(config_file), "--out", str(out), "--threads", threads,
         "--override", "adversary.norm=nan",
     ])
     assert code == EXIT_NUMERICAL
@@ -269,6 +271,25 @@ def test_net_info(config_file, capsys):
     assert code == EXIT_OK
     printed = capsys.readouterr().out
     assert "cardinality" in printed and "epsilon*" in printed
+
+
+@pytest.mark.parametrize("command", ["compare", "net-info"])
+def test_ewa_beta_outside_unit_interval_is_config_error(config_file, tmp_path, command):
+    code = main([
+        command, "--config", str(config_file), "--out", str(tmp_path / "b0"),
+        "--override", "ewa.beta=0",
+    ])
+    assert code == EXIT_CONFIG
+    assert not (tmp_path / "b0").exists()
+
+
+def test_net_info_log_cardinality_past_float_range(capsys):
+    # beta = 0.5 at epsilon* = 1/16: 1,024 cells, more paths than a float holds
+    assert main(["net-info", "--config", "holder"]) == EXIT_OK
+    line = next(ln for ln in capsys.readouterr().out.splitlines() if "cardinality" in ln)
+    log_n = float(line.split("(log:")[1].rstrip(")"))
+    assert np.isfinite(log_n) and log_n > 709.0
+    assert "cardinality: inf" in line
 
 
 def test_packaged_presets_parse():

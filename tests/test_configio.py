@@ -1,7 +1,9 @@
 """Config format: parsing, round-trip, overrides, schema errors."""
 
 import math
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from kaarbench.configio import (
@@ -60,6 +62,56 @@ def test_infinity_and_none_values():
     assert cfg.s is None
 
 
+SAMPLE_RESOLVED = """\
+[experiment]
+name = demo
+horizon = 64
+seeds = 0,1,2
+checkpoints = pow2
+threads = 1
+
+[kernel]
+d = 1
+regime = smooth
+beta = 1.0
+p = inf
+epsilon = 0.05
+s = none
+tau = none
+
+[forecaster]
+id = kaar_clipped
+clip_m = 1.0
+
+[ewa]
+epsilon = none
+beta = none
+
+[adversary]
+id = iid
+noise_sd = 0.1
+comparator = representer
+centers = 5
+norm = 0.65
+comparator_seed = 0
+n_grid = none
+
+[output]
+dir = none
+"""
+
+
+def test_write_config_canonical_text():
+    cfg = parse_config_text(SAMPLE)
+    assert write_config(cfg) == SAMPLE_RESOLVED
+    set_values = apply_overrides(cfg, [
+        "experiment.checkpoints=1,8,64", "ewa.beta=0.5", "kernel.tau=0.125", "output.dir=out",
+    ])
+    lines = write_config(set_values).splitlines()
+    for line in ("checkpoints = 1,8,64", "beta = 0.5", "tau = 0.125", "dir = out"):
+        assert line in lines
+
+
 def test_round_trip_identity():
     cfg = parse_config_text(SAMPLE)
     again = parse_config_text(write_config(cfg))
@@ -70,6 +122,10 @@ def test_round_trip_identity():
         regime="hard", beta=0.9, p=4.0, adversary="shattering", n_grid=32,
     )
     assert parse_config_text(write_config(cfg2)) == cfg2
+    # and for numpy floats, as a sweep over np.linspace hands them over
+    cfg3 = replace(cfg, noise_sd=np.linspace(0.05, 0.2, 4)[1], comparator_norm=np.float64(0.5))
+    assert "noise_sd = 0.1" in write_config(cfg3).splitlines()
+    assert parse_config_text(write_config(cfg3)) == cfg3
 
 
 def test_unknown_key_rejected():

@@ -75,6 +75,16 @@ def test_rejects_nonsymmetric():
     K = np.array([[1.0, 0.5], [0.2, 1.0]])
     with pytest.raises(ValueError):
         effective_dimension(K, 1.0)
+    # at n = 600 the check runs over blocks of rows: a gap in any block is
+    # found, and one inside the tolerance (1e-12 of the largest entry) is not
+    K = gram(KernelParams(1, 1.0), np.linspace(-1, 1, 600))
+    for i, j in [(0, 599), (599, 0), (300, 301)]:
+        bad = K.copy()
+        bad[i, j] += 1e-9
+        with pytest.raises(ValueError):
+            effective_dimension(bad, 1.0)
+        bad[i, j] = K[i, j] + 1e-13
+        assert effective_dimension(bad, 1.0).n == 600
 
 
 def test_rejects_bad_tau():

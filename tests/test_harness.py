@@ -1,8 +1,12 @@
 """Game loop protocol, regret accounting, exponent fits, persistence."""
 
+import pickle
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from kaarbench.ewa import balanced_epsilon
 from kaarbench.harness import (
     ExperimentConfig,
     GameFailure,
@@ -130,6 +134,26 @@ def test_game_failure_carries_round_index():
     with pytest.raises(GameFailure) as exc_info:
         run_game(cfg, 0)
     assert exc_info.value.round_index >= 1
+
+
+def test_game_failure_survives_pickling():
+    # a failure raised in a worker process reaches the parent intact
+    again = pickle.loads(pickle.dumps(GameFailure("game 'g' seed 0 failed at round 3: x", 3)))
+    assert isinstance(again, GameFailure)
+    assert str(again) == "game 'g' seed 0 failed at round 3: x"
+    assert again.round_index == 3
+
+
+def test_config_comparator_id_and_ewa_scale():
+    assert small_config().comparator_id == "representer"
+    assert small_config(comparator="zero").comparator_id == "zero"
+    assert small_config(adversary="shattering", comparator="zero").comparator_id == "bump"
+    cfg = small_config(beta=1.5, horizon=256)
+    assert cfg.ewa_scale() == (1.0, balanced_epsilon(256, 1.0))
+    assert replace(cfg, ewa_beta=0.5, ewa_epsilon=0.3).ewa_scale() == (0.5, 0.3)
+    for bad in (0.0, 1.5, float("nan")):
+        with pytest.raises(ValueError):
+            replace(cfg, ewa_beta=bad).validate()
 
 
 def test_kernel_overflow_becomes_game_failure():

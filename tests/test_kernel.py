@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import pdist, squareform
 
 from kaarbench.kernel import KernelParams, diagonal_value, gram, kernel_eval, kernel_of_dist
 
@@ -76,6 +77,21 @@ def test_gram_entries_match_closed_form():
     assert K[0, 2] == pytest.approx(expected, rel=1e-13)
     assert np.allclose(K, K.T)
     assert np.all(np.diag(K) == p.kappa_sq)
+
+
+def test_gram_blocks_match_pairwise_formula():
+    # 600 points span six blocks of rows; every entry is the formula at the
+    # pair's distance, bit for bit, including a repeated point
+    rng = np.random.default_rng(3)
+    for d, s in [(1, 1.0), (2, 1.05), (3, 2.5)]:
+        p = KernelParams(d, s)
+        pts = rng.uniform(-1, 1, (600, d))
+        pts[500] = pts[7]
+        expected = squareform(kernel_of_dist(p, pdist(pts)))
+        np.fill_diagonal(expected, p.kappa_sq)
+        K = gram(p, pts)
+        assert np.array_equal(K, expected)
+        assert np.array_equal(K, K.T)
 
 
 def test_gram_empty_rejected():
