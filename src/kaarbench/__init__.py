@@ -11,9 +11,12 @@ The library is organized around a small set of pieces:
 * `ewa`: the epsilon-net exponentially-weighted-average baseline (d = 1).
 * `adversary`: exact-norm representer comparators, the mollifier bump
   class, and seeded data streams.
-* `harness`: the reveal-predict-reveal-suffer game loop, regret
-  accounting, exponent estimation, CSV/plot-data persistence.
+* `harness`: the reveal-predict-reveal-suffer game loop, seeds mapped
+  over a process pool, regret accounting, exponent estimation, and one
+  table writer behind every CSV and plot-data file.
 * `cli`: the `kaarbench` command (bench, effdim, verify, compare, net-info).
+  Nothing is written until a run's numbers exist; a numerical failure
+  leaves only `FAILED.txt`.
 
 All randomness flows through numpy Generators seeded with PCG64, so streams
 and games are reproducible bit for bit from (config, seed).
@@ -47,9 +50,8 @@ from .harness import (
     GameTrace,
     default_checkpoints,
     estimate_exponent,
+    map_seeds,
     point_layout,
-    run_experiment,
-    run_family,
     run_game,
     run_horizon_family,
 )
@@ -97,13 +99,12 @@ __all__ = [
     "iid_stream",
     "kernel_eval",
     "kernel_of_dist",
+    "map_seeds",
     "mollifier_g",
     "mollifier_norm",
     "net_cardinality",
     "point_layout",
     "regret_certificate",
-    "run_experiment",
-    "run_family",
     "run_game",
     "run_horizon_family",
     "scaling_fit",

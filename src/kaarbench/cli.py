@@ -14,8 +14,9 @@ Shared flags: --config PATH (a file path or the name of a packaged preset),
 --seed N, --out DIR, --threads N, --override section.key=value (repeatable).
 The default output directory comes from $KAARBENCH_OUT, falling back to
 ./results.  Exit codes: 0 success, 1 usage, 2 config error, 3 numerical
-failure, 4 verification failure.  A failed run removes the files it wrote
-and leaves a FAILED.txt tombstone in the output directory.
+failure, 4 verification failure.  Nothing is written until the run's
+numbers exist; a numerical failure leaves only a FAILED.txt tombstone in the
+output directory, and a config error leaves nothing.
 """
 
 from __future__ import annotations
@@ -35,14 +36,16 @@ from .ewa import balanced_epsilon, build_net
 from .harness import (
     ExperimentConfig,
     GameFailure,
+    bench_seed,
+    compare_seed,
     default_checkpoints,
     estimate_exponent,
+    map_seeds,
     point_layout,
-    run_bench,
-    run_compare,
     write_effdim_csv,
     write_plot_data,
     write_summary_csv,
+    write_table,
     write_trace_csv,
 )
 from .kaar import NumericalBreakdownError, target_regret_exponent
@@ -70,32 +73,23 @@ NUMERICAL_ERRORS = (GameFailure, NumericalBreakdownError, np.linalg.LinAlgError,
 
 
 class _Outputs:
-    """Tracks files written by one command; a numerical failure inside its
-    `with` block removes them and leaves a FAILED.txt tombstone."""
+    """The output directory of one command.  Commands write their files only
+    after their numbers exist, so a numerical failure inside the `with` block
+    leaves nothing but a FAILED.txt tombstone."""
 
     def __init__(self, out_dir: Path):
         self.out_dir = out_dir
-        self.written: list[Path] = []
 
     def path(self, name: str) -> Path:
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        p = self.out_dir / name
-        self.written.append(p)
-        return p
+        return self.out_dir / name
 
     def __enter__(self) -> _Outputs:
         return self
 
     def __exit__(self, exc_type, exc, _tb) -> None:
-        if exc_type is None or not issubclass(exc_type, NUMERICAL_ERRORS):
-            return
-        for p in self.written:
-            try:
-                p.unlink(missing_ok=True)
-            except OSError:
-                pass
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        (self.out_dir / "FAILED.txt").write_text(f"{exc}\n")
+        if exc_type is not None and issubclass(exc_type, NUMERICAL_ERRORS):
+            self.path("FAILED.txt").write_text(f"{exc}\n")
 
 
 def _load_config(spec: str) -> ExperimentConfig:
@@ -135,15 +129,13 @@ def cmd_bench(args) -> int:
     the schedule's n-dependence honest when fitting the regret exponent."""
     config = _resolve(args)
     with _Outputs(_out_dir(config)) as outs:
-        outs.path(f"{config.name}.resolved.cfg").write_text(write_config(config))
         checkpoints = config.checkpoints or default_checkpoints(config.horizon)
         fit_ns = tuple(c for c in checkpoints if c >= 8)
-        results = run_bench(config, fit_ns)
+        results = map_seeds(bench_seed, config, fit_ns)
         rows, slopes, families = [], [], []
         flagged = False
         for seed in config.seeds:
             trace, played, family = results[seed]
-            write_trace_csv(trace, outs.path(f"{config.name}_seed{seed}.csv"))
             row = {"seed": seed, "n": trace.n, "regret": trace.final_regret(config.comparator_id), "slope": None}
             if len(fit_ns) >= 4:
                 fit = estimate_exponent(played, family)
@@ -152,6 +144,10 @@ def cmd_bench(args) -> int:
                 flagged = flagged or fit.flagged
                 families.append(family)
             rows.append(row)
+
+        outs.path(f"{config.name}.resolved.cfg").write_text(write_config(config))
+        for seed in config.seeds:
+            write_trace_csv(results[seed][0], outs.path(f"{config.name}_seed{seed}.csv"))
         write_summary_csv(rows, outs.path(f"{config.name}_summary.csv"))
         if families:
             # played counts depend on the horizon and d only, not on the seed
@@ -215,15 +211,12 @@ def cmd_compare(args) -> int:
     if config.d != 1:
         raise ConfigError("compare runs the EWA baseline, which supports d = 1 only")
     with _Outputs(_out_dir(config)) as outs:
-        results = run_compare(config)
+        results = map_seeds(compare_seed, config)
         rows = [(seed, *row) for seed in config.seeds for row in results[seed]]
-        with open(outs.path(f"{config.name}_compare.csv"), "w") as fh:
-            fh.write("seed,t,regret_kaar,regret_ewa\n")
-            for seed, c, rk, re_ in rows:
-                fh.write(f"{seed},{c},{rk:.17g},{re_:.17g}\n")
         cps = sorted({c for _, c, _, _ in rows})
         mean_k = [np.mean([rk for _, c, rk, _ in rows if c == cp]) for cp in cps]
         mean_e = [np.mean([re_ for _, c, _, re_ in rows if c == cp]) for cp in cps]
+        write_table(outs.path(f"{config.name}_compare.csv"), rows, ["seed", "t", "regret_kaar", "regret_ewa"])
         write_plot_data(outs.path(f"{config.name}_kaar.dat"), cps, mean_k)
         write_plot_data(outs.path(f"{config.name}_ewa.dat"), cps, mean_e)
         print(f"compare {config.name}: final mean regret kernel={mean_k[-1]:.4f} ewa={mean_e[-1]:.4f}")

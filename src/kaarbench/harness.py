@@ -45,14 +45,15 @@ __all__ = [
     "GameFailure",
     "ExponentFit",
     "run_game",
-    "run_experiment",
+    "map_seeds",
     "run_horizon_family",
-    "run_family",
-    "run_compare",
+    "bench_seed",
+    "compare_seed",
     "estimate_exponent",
     "kahan_cumsum",
     "point_layout",
     "default_checkpoints",
+    "write_table",
     "write_trace_csv",
     "write_summary_csv",
     "write_plot_data",
@@ -120,6 +121,12 @@ class ExperimentConfig:
             raise ValueError(f"unknown adversary id {self.adversary!r} (known: {ADVERSARY_IDS})")
         if self.comparator not in COMPARATOR_IDS:
             raise ValueError(f"unknown comparator id {self.comparator!r} (known: {COMPARATOR_IDS})")
+        if self.noise_sd < 0:
+            raise ValueError(f"noise_sd must be >= 0, got {self.noise_sd}")
+        if not 0 < self.clip_m < math.inf:
+            raise ValueError(f"clip_m must be positive and finite, got {self.clip_m}")
+        if self.comparator_centers < 1:
+            raise ValueError(f"comparator centers must be >= 1, got {self.comparator_centers}")
         if self.checkpoints is not None:
             bad = [c for c in self.checkpoints if not 1 <= c <= self.horizon]
             if bad:
@@ -343,7 +350,7 @@ def run_game(config: ExperimentConfig, seed: int | None = None) -> GameTrace:
     )
 
 
-def _map_seeds(fn, config: ExperimentConfig, *args) -> dict:
+def map_seeds(fn, config: ExperimentConfig, *args) -> dict:
     """fn(config, *args, seed) for every configured seed, keyed by seed.
 
     Seeds run across config.threads worker processes when there is more than
@@ -357,11 +364,6 @@ def _map_seeds(fn, config: ExperimentConfig, *args) -> dict:
     else:
         results = [fn(*call) for call in calls]
     return dict(zip(config.seeds, results))
-
-
-def run_experiment(config: ExperimentConfig) -> dict[int, GameTrace]:
-    """Run all configured seeds, optionally across a process pool."""
-    return _map_seeds(run_game, config)
 
 
 def run_horizon_family(
@@ -386,11 +388,6 @@ def run_horizon_family(
     return played, np.array([game.final_regret(config.comparator_id) for game in games])
 
 
-def run_family(config: ExperimentConfig, ns) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """run_horizon_family for every configured seed, pooled per config.threads."""
-    return _map_seeds(run_horizon_family, config, tuple(ns))
-
-
 def bench_seed(config: ExperimentConfig, fit_ns: tuple[int, ...], seed: int):
     """One bench unit: the full-horizon trace plus run_horizon_family at fit_ns.
 
@@ -401,22 +398,12 @@ def bench_seed(config: ExperimentConfig, fit_ns: tuple[int, ...], seed: int):
     return (trace, *run_horizon_family(config, fit_ns, seed, full=trace))
 
 
-def run_bench(config: ExperimentConfig, fit_ns) -> dict[int, tuple[GameTrace, np.ndarray, np.ndarray]]:
-    """bench_seed across all seeds, pooled per config.threads."""
-    return _map_seeds(bench_seed, config, tuple(fit_ns))
-
-
 def compare_seed(config: ExperimentConfig, seed: int) -> list[tuple[int, float, float]]:
     """(t, clipped-kernel regret, EWA regret) at each checkpoint of one seed's stream."""
     comp_id = config.comparator_id
     kaar = run_game(replace(config, forecaster="kaar_clipped"), seed)
     ewa = run_game(replace(config, forecaster="ewa"), seed)
     return [(c, kaar.regret_at(comp_id, c), ewa.regret_at(comp_id, c)) for c in kaar.checkpoints]
-
-
-def run_compare(config: ExperimentConfig) -> dict[int, list[tuple[int, float, float]]]:
-    """compare_seed across all seeds, pooled per config.threads."""
-    return _map_seeds(compare_seed, config)
 
 
 @dataclass
@@ -477,68 +464,54 @@ def point_layout(kind: str, n: int, d: int, rng=None) -> np.ndarray:
 # persistence: CSV and plot-data writers
 # ---------------------------------------------------------------------------
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
+def write_table(path, rows, header=None, sep=",") -> None:
+    """Write rows of numbers as sep-joined lines, under an optional header.
+
+    Every writer goes through this one format: floats print with 17
+    significant digits (f"{v:.17g}", enough to round-trip), ints print as
+    ints and None prints as an empty field.
+    """
+    with open(path, "w") as fh:
+        if header is not None:
+            fh.write(sep.join(header) + "\n")
+        for row in rows:
+            fields = ["" if v is None else str(v) if isinstance(v, (int, np.integer)) else f"{v:.17g}" for v in row]
+            fh.write(sep.join(fields) + "\n")
 
 
 def write_trace_csv(trace: GameTrace, path) -> None:
     """Per-game CSV: t,y,yhat,loss,cum_loss,regret_<comparator-id>..."""
     names = sorted(trace.comparator_cum)
-    regs = {name: trace.regret(name) for name in names}
-    with open(path, "w") as fh:
-        fh.write("t,y,yhat,loss,cum_loss," + ",".join(f"regret_{n}" for n in names) + "\n")
-        for i in range(trace.n):
-            row = [
-                str(i + 1), _fmt(trace.ys[i]), _fmt(trace.yhats[i]),
-                _fmt(trace.losses[i]), _fmt(trace.cum_losses[i]),
-            ] + [_fmt(regs[n][i]) for n in names]
-            fh.write(",".join(row) + "\n")
+    columns = [trace.ys, trace.yhats, trace.losses, trace.cum_losses] + [trace.regret(n) for n in names]
+    rows = ((t, *row) for t, row in enumerate(zip(*(col.tolist() for col in columns)), start=1))
+    write_table(path, rows, ["t", "y", "yhat", "loss", "cum_loss"] + [f"regret_{n}" for n in names])
 
 
 def write_summary_csv(rows: list[dict], path) -> None:
-    """Experiment summary CSV: seed,n,regret,slope."""
-    with open(path, "w") as fh:
-        fh.write("seed,n,regret,slope\n")
-        for row in rows:
-            slope = row.get("slope")
-            fh.write(
-                f"{row['seed']},{row['n']},{_fmt(row['regret'])},"
-                f"{'' if slope is None else _fmt(slope)}\n"
-            )
+    """Experiment summary CSV: seed,n,regret,slope (an unset slope stays empty)."""
+    rows = ((row["seed"], row["n"], row["regret"], row.get("slope")) for row in rows)
+    write_table(path, rows, ["seed", "n", "regret", "slope"])
 
 
 def write_plot_data(path, xs, ys) -> None:
     """Two-column whitespace 'x y' file consumable by standard plotting tools."""
-    with open(path, "w") as fh:
-        for x, y in zip(xs, ys):
-            fh.write(f"{_fmt(float(x))} {_fmt(float(y))}\n")
+    write_table(path, ((float(x), float(y)) for x, y in zip(xs, ys)), sep=" ")
 
 
 def write_gram_csv(K: np.ndarray, path) -> None:
     """Row-major Gram-matrix dump with header i,j,value (debugging aid)."""
-    with open(path, "w") as fh:
-        fh.write("i,j,value\n")
-        for i in range(K.shape[0]):
-            for j in range(K.shape[1]):
-                fh.write(f"{i},{j},{_fmt(K[i, j])}\n")
+    rows = ((i, j, v) for i, row in enumerate(K.tolist()) for j, v in enumerate(row))
+    write_table(path, rows, ["i", "j", "value"])
 
 
 def write_stream_csv(stream: Stream, path) -> None:
     """Stream dump t,x_1..x_d,y for replay and cross-implementation checks."""
     d = stream.xs.shape[1]
-    with open(path, "w") as fh:
-        fh.write("t," + ",".join(f"x_{k + 1}" for k in range(d)) + ",y\n")
-        for i in range(len(stream)):
-            coords = ",".join(_fmt(c) for c in stream.xs[i])
-            fh.write(f"{i + 1},{coords},{_fmt(stream.ys[i])}\n")
+    rows = ((t, *x, y) for t, (x, y) in enumerate(zip(stream.xs.tolist(), stream.ys.tolist()), start=1))
+    write_table(path, rows, ["t"] + [f"x_{k + 1}" for k in range(d)] + ["y"])
 
 
 def write_effdim_csv(reports, path) -> None:
     """Effective-dimension report CSV: n,tau,d_eff,lambda_max,lambda_min."""
-    with open(path, "w") as fh:
-        fh.write("n,tau,d_eff,lambda_max,lambda_min\n")
-        for rep in reports:
-            fh.write(
-                f"{rep.n},{_fmt(rep.tau)},{_fmt(rep.value)},"
-                f"{_fmt(rep.lambda_max)},{_fmt(rep.lambda_min)}\n"
-            )
+    rows = ((rep.n, rep.tau, rep.value, rep.lambda_max, rep.lambda_min) for rep in reports)
+    write_table(path, rows, ["n", "tau", "d_eff", "lambda_max", "lambda_min"])

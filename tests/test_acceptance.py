@@ -17,7 +17,7 @@ import pytest
 from kaarbench.adversary import bump_comparator
 from kaarbench.effdim import effective_dimension, scaling_fit
 from kaarbench.ewa import build_net, ewa_predict, ewa_update
-from kaarbench.harness import ExperimentConfig, estimate_exponent, run_experiment, run_family
+from kaarbench.harness import ExperimentConfig, estimate_exponent, map_seeds, run_game, run_horizon_family
 from kaarbench.kaar import KaarForecaster, regret_certificate
 from kaarbench.kernel import KernelParams, diagonal_value, gram, kernel_eval
 from kaarbench.special import bessel_k
@@ -32,9 +32,9 @@ def check(label: str, passed: bool, detail: str):
     assert passed, f"{label}: {detail}"
 
 
-def predict_direct(params, tau, xs, ys, x):
-    pts = np.vstack([xs, np.atleast_1d(x)[None, :]]) if len(ys) else np.atleast_1d(x)[None, :]
-    K = gram(params, pts)
+def predict_direct(K, tau, ys):
+    """Dense KAAR forecast at the last point of the Gram matrix K, given the
+    labels ys of the points before it."""
     ytil = np.append(ys, 0.0)
     return float(ytil @ np.linalg.solve(K + tau * np.eye(len(ytil)), K[:, -1]))
 
@@ -51,10 +51,11 @@ def test_criterion_1_oracle_equivalence():
         rng = np.random.default_rng(seed)
         xs = rng.uniform(-1, 1, (256, 2))
         ys = rng.uniform(-1, 1, 256)
+        K = gram(params, xs)  # the Gram matrix of each prefix is its leading block
         fc = KaarForecaster(params, tau)
         for t in range(256):
             incremental = fc.predict(xs[t])
-            direct = predict_direct(params, tau, xs[:t], ys[:t], xs[t])
+            direct = predict_direct(K[: t + 1, : t + 1], tau, ys[:t])
             worst = max(worst, abs(incremental - direct))
             fc.update(xs[t], ys[t])
     elapsed = time.perf_counter() - t0
@@ -77,7 +78,7 @@ def certificate_games():
         comparator_centers=5, comparator_norm=2.0, comparator_seed=0,
     )
     t0 = time.perf_counter()
-    traces = run_experiment(config)
+    traces = map_seeds(run_game, config)
     elapsed = time.perf_counter() - t0
     return config, traces, elapsed
 
@@ -167,7 +168,7 @@ def test_criterion_4_regret_growth_exponent():
             adversary=adversary, noise_sd=0.1, comparator="representer",
             comparator_centers=5, comparator_norm=0.65, comparator_seed=0,
         )
-        families = run_family(config, ns)
+        families = map_seeds(run_horizon_family, config, tuple(ns))
         played = families[seeds[0]][0]
         mean_curve = np.mean([families[s][1] for s in seeds], axis=0)
         fits[adversary] = estimate_exponent(played, mean_curve)

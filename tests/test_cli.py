@@ -111,6 +111,28 @@ def test_numerical_failure_tombstones(config_file, tmp_path, command, threads):
     assert leftovers == []
 
 
+@pytest.mark.parametrize("override", ["adversary.noise_sd=-1", "forecaster.clip_m=0", "adversary.centers=0"])
+def test_out_of_range_value_is_config_error_before_any_write(config_file, tmp_path, override):
+    out = tmp_path / "bad"
+    code = main(["bench", "--config", str(config_file), "--out", str(out), "--override", override])
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+
+
+def test_value_error_during_bench_writes_nothing(config_file, tmp_path, monkeypatch):
+    # a ValueError after validation, from inside the computation
+    from kaarbench import harness
+
+    def failing_game(config, seed=None):
+        raise ValueError("bad value inside the game")
+
+    monkeypatch.setattr(harness, "run_game", failing_game)
+    out = tmp_path / "late"
+    code = main(["bench", "--config", str(config_file), "--out", str(out), "--threads", "1"])
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_bench_kernel_overflow_tombstones(config_file, tmp_path):
     out = tmp_path / "overflow"
     code = main([
@@ -185,6 +207,23 @@ def test_compare_small(config_file, tmp_path):
         "--override", "ewa.epsilon=0.5",
     ]) == EXIT_OK
     assert csv.read_bytes() == first
+
+
+def test_compare_files_golden_text(config_file, tmp_path, monkeypatch):
+    # every byte of the compare CSV and its two curves on fixed per-seed rows
+    from kaarbench import cli
+
+    fixed = {0: [(1, 0.1, -0.5), (2, 1.0, 2.0)], 1: [(1, 0.2, 0.25), (2, -1.0, 1 / 3)]}
+    monkeypatch.setattr(cli, "compare_seed", lambda config, seed: fixed[seed])
+    out = tmp_path / "gold"
+    assert main(["compare", "--config", str(config_file), "--out", str(out), "--threads", "1"]) == EXIT_OK
+    assert (out / "clismoke_compare.csv").read_text() == (
+        "seed,t,regret_kaar,regret_ewa\n"
+        "0,1,0.10000000000000001,-0.5\n0,2,1,2\n"
+        "1,1,0.20000000000000001,0.25\n1,2,-1,0.33333333333333331\n"
+    )
+    assert (out / "clismoke_kaar.dat").read_text() == "1 0.15000000000000002\n2 0\n"
+    assert (out / "clismoke_ewa.dat").read_text() == "1 -0.125\n2 1.1666666666666667\n"
 
 
 def test_compare_fine_net(config_file, tmp_path):

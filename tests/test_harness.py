@@ -10,14 +10,16 @@ from kaarbench.ewa import balanced_epsilon
 from kaarbench.harness import (
     ExperimentConfig,
     GameFailure,
+    GameTrace,
     _OrderGuard,
     default_checkpoints,
     estimate_exponent,
     kahan_cumsum,
+    map_seeds,
     point_layout,
-    run_experiment,
     run_game,
     run_horizon_family,
+    write_effdim_csv,
     write_gram_csv,
     write_plot_data,
     write_stream_csv,
@@ -184,10 +186,10 @@ def test_order_guard_blocks_label_leakage_patterns():
         guard.predict([0.2])  # second prediction without an update
 
 
-def test_run_experiment_serial_and_parallel_agree():
+def test_map_seeds_serial_and_parallel_agree():
     cfg = small_config(horizon=64, seeds=(0, 1, 2))
-    serial = run_experiment(cfg)
-    parallel = run_experiment(ExperimentConfig(**{**cfg.__dict__, "threads": 2}))
+    serial = map_seeds(run_game, cfg)
+    parallel = map_seeds(run_game, ExperimentConfig(**{**cfg.__dict__, "threads": 2}))
     for seed in cfg.seeds:
         assert np.array_equal(serial[seed].yhats, parallel[seed].yhats)
 
@@ -319,3 +321,45 @@ def test_gram_and_stream_csv(tmp_path):
     lines = spath.read_text().strip().splitlines()
     assert lines[0] == "t,x_1,x_2,y"
     assert len(lines) == 4
+
+
+def test_writers_golden_text(tmp_path):
+    # every byte of each writer on a tiny fixed input: 17 significant digits,
+    # ints as ints, an unset slope as an empty field, spaces in .dat files
+    from kaarbench.adversary import Stream, ZeroComparator
+    from kaarbench.effdim import EffDimReport
+
+    trace = GameTrace(
+        seed=0, n=2, s=1.0, tau=1.0, xs=np.array([[0.5], [-0.25]]), ys=np.array([0.1, -1.0]),
+        yhats=np.array([0.0, 0.3]), losses=np.array([0.01, 1.69]), cum_losses=np.array([0.01, 1.7]),
+        comparator_cum={"zero": np.array([0.01, 1.01]), "representer": np.array([0.0, 0.5])},
+        checkpoints=(1, 2),
+    )
+    write_trace_csv(trace, tmp_path / "trace.csv")
+    write_summary_csv(
+        [{"seed": 0, "n": 16, "regret": 1.5, "slope": 0.1}, {"seed": 1, "n": 16, "regret": -2.0, "slope": None}],
+        tmp_path / "summary.csv",
+    )
+    write_plot_data(tmp_path / "curve.dat", [1, 2, 4], [0.5, 1 / 3, 2])
+    write_gram_csv(np.array([[1.0, 0.1], [0.1, 1.0]]), tmp_path / "gram.csv")
+    stream = Stream(xs=np.array([[0.1, -0.5], [1.0, 0.2]]), ys=np.array([1.0, -0.3]), comparator=ZeroComparator(dim=2))
+    write_stream_csv(stream, tmp_path / "stream.csv")
+    reports = [
+        EffDimReport(n=3, tau=0.5, value=1.2345, eigenvalues=np.array([2.5, 0.5, 0.0])),
+        EffDimReport(n=64, tau=2.0, value=7.0, eigenvalues=np.array([9.0, 1e-20])),
+    ]
+    write_effdim_csv(reports, tmp_path / "effdim.csv")
+
+    expected = {
+        "trace.csv": "t,y,yhat,loss,cum_loss,regret_representer,regret_zero\n"
+                     "1,0.10000000000000001,0,0.01,0.01,0.01,0\n"
+                     "2,-1,0.29999999999999999,1.6899999999999999,1.7,1.2,0.68999999999999995\n",
+        "summary.csv": "seed,n,regret,slope\n0,16,1.5,0.10000000000000001\n1,16,-2,\n",
+        "curve.dat": "1 0.5\n2 0.33333333333333331\n4 2\n",
+        "gram.csv": "i,j,value\n0,0,1\n0,1,0.10000000000000001\n1,0,0.10000000000000001\n1,1,1\n",
+        "stream.csv": "t,x_1,x_2,y\n1,0.10000000000000001,-0.5,1\n2,1,0.20000000000000001,-0.29999999999999999\n",
+        "effdim.csv": "n,tau,d_eff,lambda_max,lambda_min\n"
+                      "3,0.5,1.2344999999999999,2.5,0\n64,2,7,9,9.9999999999999995e-21\n",
+    }
+    for name, text in expected.items():
+        assert (tmp_path / name).read_text() == text, name
