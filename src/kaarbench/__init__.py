@@ -6,8 +6,11 @@ The library is organized around a small set of pieces:
 * `special` / `kernel`: modified Bessel K and the Sobolev (Matern-family)
   kernel with its Gram assembly.
 * `kaar`: the online forecaster with O(t^2)-per-round incremental factor
-  updates, clipping, regularization schedules, and the regret certificate.
-* `effdim`: effective dimension of a kernel matrix and log-log scaling fits.
+  updates, the level-3 panel Cholesky factor that replays a whole
+  oblivious game in O(n^3 / 3), clipping, regularization schedules, and
+  the regret certificate.
+* `effdim`: effective dimension of a kernel matrix by Cholesky, and
+  log-log scaling fits.
 * `ewa`: the epsilon-net exponentially-weighted-average baseline (d = 1).
 * `adversary`: exact-norm representer comparators, the mollifier bump
   class, and seeded data streams.

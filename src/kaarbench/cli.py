@@ -31,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .configio import ConfigError, apply_overrides, parse_config, parse_config_text, write_config
-from .effdim import effective_dimension, scaling_fit
+from .effdim import effective_dimension, scaling_fit, spectrum
 from .ewa import balanced_epsilon, build_net
 from .harness import (
     ExperimentConfig,
@@ -166,6 +166,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_effdim(args) -> int:
+    """d_eff by Cholesky at each grid size; the eigenvalues are computed here
+    only for the lambda_max/lambda_min columns."""
     config = _resolve(args)
     s, _ = config.schedule()
     params = KernelParams(config.d, s)
@@ -175,8 +177,8 @@ def cmd_effdim(args) -> int:
         rng = np.random.default_rng(config.seeds[0])
         reports = []
         for n in ns:
-            pts = point_layout(args.layout, n, config.d, rng)
-            reports.append(effective_dimension(gram(params, pts), tau))
+            K = gram(params, point_layout(args.layout, n, config.d, rng))
+            reports.append(replace(effective_dimension(K, tau), eigenvalues=spectrum(K)))
         write_effdim_csv(reports, outs.path(f"{config.name}_effdim_{args.layout}.csv"))
         write_plot_data(
             outs.path(f"{config.name}_effdim_{args.layout}.dat"),

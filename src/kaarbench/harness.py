@@ -3,10 +3,13 @@
 The protocol per round t is strict: the environment reveals x_t, the
 forecaster predicts yhat_t from the history and x_t alone, the label y_t is
 revealed, the squared loss (y_t - yhat_t)^2 is suffered, and only then may
-the forecaster update.  An order guard enforces predict-before-update so no
-code path can leak the label.  Streams are materialized up front (the
-adversary is oblivious) and every game is a deterministic function of its
-config and seed.
+the forecaster update.  Streams are materialized up front (the adversary is
+oblivious) and every game is a deterministic function of its config and
+seed.  The kernel forecasters are therefore replayed from one level-3
+factor of the whole game (kaar.replay_forecasts), whose triangular
+structure keeps each forecast off its own and later labels; the EWA and
+zero forecasters play round by round behind an order guard that enforces
+predict-before-update, so no code path can leak the label.
 
 Cumulative sums are compensated (Kahan) so that the regret identity
 
@@ -20,12 +23,15 @@ estimated by least squares on log-log axes.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from pathlib import Path
 
 import numpy as np
+import scipy
 
 from .adversary import (
     RepresenterComparator,
@@ -36,7 +42,7 @@ from .adversary import (
 )
 from .effdim import loglog_fit
 from .ewa import EwaForecaster, balanced_epsilon, build_net
-from .kaar import KaarForecaster, NumericalBreakdownError, Schedule, schedule_tau
+from .kaar import NumericalBreakdownError, ReplayError, Schedule, replay_forecasts, schedule_tau
 from .kernel import KernelParams
 
 __all__ = [
@@ -181,6 +187,10 @@ class GameTrace:
     checkpoints: tuple[int, ...]
     raw_yhats: np.ndarray | None = None
     flags: tuple[str, ...] = ()
+    # kernel forecasters only, from the factor's diagonal: log det(I + K_t / tau)
+    # at each checkpoint t, and the smallest pivot R_tt^2 (>= tau in exact arithmetic)
+    log_det: np.ndarray | None = None
+    min_pivot: float | None = None
 
     def regret(self, comparator_id: str) -> np.ndarray:
         """Cumulative regret after each round against one comparator."""
@@ -277,9 +287,8 @@ def make_stream(config: ExperimentConfig, params: KernelParams, seed: int) -> St
     return iid_stream(comp, config.noise_sd, config.horizon, rng, clip_m=config.clip_m)
 
 
-def make_forecaster(config: ExperimentConfig, params: KernelParams, tau: float):
-    if config.forecaster in ("kaar", "kaar_clipped"):
-        return KaarForecaster(params, tau, clip_m=config.clip_m)
+def make_forecaster(config: ExperimentConfig):
+    """The forecaster of a game played round by round (the kernel forecasters are replayed)."""
     if config.forecaster == "ewa":
         beta, eps = config.ewa_scale()
         return EwaForecaster(build_net(beta, config.clip_m, eps))
@@ -288,13 +297,19 @@ def make_forecaster(config: ExperimentConfig, params: KernelParams, tau: float):
     raise ValueError(f"unknown forecaster id {config.forecaster!r}")
 
 
+def _game_failure(config: ExperimentConfig, seed: int, round_index: int, cause) -> GameFailure:
+    return GameFailure(f"game {config.name!r} seed {seed} failed at round {round_index}: {cause}", round_index)
+
+
 def run_game(config: ExperimentConfig, seed: int | None = None) -> GameTrace:
     """Play one seeded game and return its trace.
 
     The comparator registered under the stream's id plus the constant-zero
     comparator are tracked for regret.  The game length is the configured
     horizon, shortened to the stream length for shattering streams whose
-    cube count does not reach the horizon.
+    cube count does not reach the horizon.  The kernel forecasters are
+    replayed from one factor of the whole game; the others play round by
+    round through make_forecaster.
     """
     config.validate()
     if seed is None:
@@ -314,25 +329,30 @@ def run_game(config: ExperimentConfig, seed: int | None = None) -> GameTrace:
     if comp_id != "zero":
         comparators["zero"] = ZeroComparator(dim=config.d)
 
-    forecaster = make_forecaster(config, params, tau)
-    guard = _OrderGuard(forecaster)
-    clipped = config.forecaster == "kaar_clipped"
-    clip_m = config.clip_m
-
-    yhats = np.empty(n)
-    raw_yhats = np.empty(n) if clipped else None
-    try:
-        for t in range(n):
-            x = xs[t]
-            raw = guard.predict(x)
-            if clipped:
-                raw_yhats[t] = raw
-                yhats[t] = min(max(-clip_m, raw), clip_m)
-            else:
-                yhats[t] = raw
-            guard.update(x, ys[t])
-    except (NumericalBreakdownError, ValueError, FloatingPointError, OverflowError) as exc:
-        raise GameFailure(f"game {config.name!r} seed {seed} failed at round {t + 1}: {exc}", t + 1) from exc
+    checkpoints = config.checkpoints or default_checkpoints(n)
+    checkpoints = tuple(c for c in checkpoints if c <= n)
+    raw_yhats = log_det = min_pivot = None
+    if config.forecaster in ("kaar", "kaar_clipped"):
+        try:
+            raw, pivots = replay_forecasts(params, tau, xs, ys)
+        except ReplayError as exc:
+            raise _game_failure(config, seed, exc.round_index, exc.__cause__) from exc.__cause__
+        log_det = np.cumsum(np.log(pivots / tau))[np.array(checkpoints, dtype=int) - 1]
+        min_pivot = float(pivots.min())
+        if config.forecaster == "kaar_clipped":
+            raw_yhats = raw
+            yhats = np.clip(raw, -config.clip_m, config.clip_m)
+        else:
+            yhats = raw
+    else:
+        guard = _OrderGuard(make_forecaster(config))
+        yhats = np.empty(n)
+        try:
+            for t in range(n):
+                yhats[t] = guard.predict(xs[t])
+                guard.update(xs[t], ys[t])
+        except (NumericalBreakdownError, ValueError, FloatingPointError, OverflowError) as exc:
+            raise _game_failure(config, seed, t + 1, exc) from exc
 
     losses = (ys - yhats) ** 2
     cum_losses = kahan_cumsum(losses)
@@ -341,25 +361,47 @@ def run_game(config: ExperimentConfig, seed: int | None = None) -> GameTrace:
         comp_losses = (ys - comp.evaluate(xs)) ** 2
         comparator_cum[name] = kahan_cumsum(comp_losses)
 
-    checkpoints = config.checkpoints or default_checkpoints(n)
-    checkpoints = tuple(c for c in checkpoints if c <= n)
     return GameTrace(
         seed=seed, n=n, s=s, tau=tau, xs=xs, ys=ys, yhats=yhats,
         losses=losses, cum_losses=cum_losses, comparator_cum=comparator_cum,
         checkpoints=checkpoints, raw_yhats=raw_yhats, flags=flags,
+        log_det=log_det, min_pivot=min_pivot,
     )
+
+
+def _bundled_openblas():
+    """ctypes handles of the OpenBLAS libraries that numpy and scipy bundle
+    (none for a build linked against another BLAS)."""
+    for pkg in (np, scipy):
+        libdir = Path(pkg.__file__).resolve().parent.parent / f"{pkg.__name__}.libs"
+        for path in sorted(libdir.glob("*openblas*.so*")):
+            yield ctypes.CDLL(str(path))
+
+
+def _one_blas_thread() -> None:
+    """Pool initializer: one BLAS thread per worker process, so that the
+    workers do not oversubscribe the cores."""
+    for lib in _bundled_openblas():
+        for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads64_", "openblas_set_num_threads"):
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                break
 
 
 def map_seeds(fn, config: ExperimentConfig, *args) -> dict:
     """fn(config, *args, seed) for every configured seed, keyed by seed.
 
     Seeds run across config.threads worker processes when there is more than
-    one of each, and in this process, in seed order, otherwise.
+    one of each, and in this process, in seed order, otherwise.  Each worker
+    runs one BLAS thread; this process keeps the library default.
     """
     config.validate()
     calls = [(config, *args, seed) for seed in config.seeds]
     if config.threads > 1 and len(calls) > 1:
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
+        with ProcessPoolExecutor(max_workers=config.threads, initializer=_one_blas_thread) as pool:
             results = list(pool.map(fn, *zip(*calls)))
     else:
         results = [fn(*call) for call in calls]

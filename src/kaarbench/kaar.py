@@ -1,4 +1,4 @@
-"""Online kernel ridge regression forecaster (KAAR) with incremental updates.
+"""Online kernel ridge regression forecaster (KAAR): incremental updates and level-3 replay.
 
 At round t, with history (x_1, y_1), ..., (x_{t-1}, y_{t-1}) and the current
 input x_t revealed, the forecaster outputs
@@ -47,6 +47,25 @@ if update() is called with a different point.  A non-positive pivot cannot
 occur for tau > 0 in exact arithmetic, so it is treated as a symptom of
 numerical corruption: the state is refactorized from scratch once, and a
 repeat failure raises NumericalBreakdownError.
+
+Replay of an oblivious game
+---------------------------
+When every input of a game is known before round 1, the leading t x t
+block of the factor R of the full K + tau I is the factor of K_t + tau I,
+so one factorization gives every round's column: r_t = R[:t, t] and
+rho_t = R[t, t].  panel_cholesky computes R at level 3 (O(n^3 / 3) flops in
+dgemm/dtrsm/dsyrk/dpotrf calls instead of n level-2 dtpsv calls), a panel
+of PANEL_WIDTH columns at a time, and keeps it as dense column panels
+R[:e, s:e], about n (n + 1) / 2 doubles as in the packed layout.  With
+u = R^{-T} y every raw forecast is
+
+    yhat_t = tau * (sum_{i<t} R[i, t] u_i) / R[t, t]^2,
+
+the diagonal term kept out of the sum, so yhat_t reads only y_1 ... y_{t-1}
+(replay_forecasts).  The same factor gives log det(I + K_t / tau) =
+sum_{j<=t} log(R[j, j]^2 / tau) and, through inverse_column_norms, the
+effective dimension t - tau ||R_t^{-1}||_F^2 at every prefix t.
+KaarForecaster remains the online API, whose cost is O(t^2) per round.
 """
 
 from __future__ import annotations
@@ -55,14 +74,22 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.blas import dtpsv
+from scipy.linalg.blas import dgemm, dsyrk, dtpsv, dtrmm, dtrsm, dtrsv
+from scipy.linalg.lapack import dpotrf, dtrtri
+from scipy.spatial.distance import cdist
 
-from .kernel import KernelParams, gram, kernel_of_dist
+from .kernel import KernelParams, gram, kernel_block, kernel_of_dist
 
 __all__ = [
     "KaarForecaster",
     "NumericalBreakdownError",
+    "PANEL_WIDTH",
+    "ReplayError",
     "Schedule",
+    "inverse_column_norms",
+    "panel_cholesky",
+    "panel_forecasts",
+    "replay_forecasts",
     "schedule_tau",
     "regret_certificate",
     "target_regret_exponent",
@@ -71,8 +98,27 @@ __all__ = [
 _INITIAL_CAPACITY = 64  # rounds stored before the buffers first double
 
 
+PANEL_WIDTH = 128  # columns per panel of the level-3 factor
+
+
 class NumericalBreakdownError(RuntimeError):
-    """Raised when the factor update hits a non-positive pivot twice."""
+    """Raised when a factor hits a non-positive pivot that it cannot repair.
+
+    round_index is the 1-based column of that pivot, when known.
+    """
+
+    def __init__(self, message: str, round_index: int | None = None):
+        super().__init__(message)
+        self.round_index = round_index
+
+
+class ReplayError(RuntimeError):
+    """A replayed game failed at round round_index (1-based); the failure
+    itself is chained as __cause__."""
+
+    def __init__(self, round_index: int):
+        super().__init__(f"replay failed at round {round_index}")
+        self.round_index = round_index
 
 
 class KaarForecaster:
@@ -215,6 +261,128 @@ class KaarForecaster:
         self._Y[t] = y
         self._t = t + 1
         self._pending = None
+
+
+def panel_cholesky(fill, n: int, shift: float) -> list[np.ndarray]:
+    """Upper Cholesky factor R (R^T R = A + shift I) of a symmetric n x n A, by panels.
+
+    Left-looking and blocked: panel p covers the columns s:e = p * PANEL_WIDTH :
+    min(n, (p + 1) * PANEL_WIDTH) and holds R[:e, s:e] as a C-ordered e x (e - s)
+    array; all panels are views into one buffer.  fill(s, e, out) writes
+    A[:e, s:e] into a panel, of which only the upper triangle of the diagonal
+    block A[s:e, s:e] is read; shift is added to its diagonal.  The rows
+    above that block are then solved against the earlier panels (dgemm,
+    dtrsm), the block is downdated (dsyrk) and factored (dpotrf); its
+    strictly lower triangle ends zero.
+
+    Raises NumericalBreakdownError carrying the 1-based column of the first
+    non-positive pivot, as dpotrf's info reports it.
+    """
+    bounds = [(s, min(s + PANEL_WIDTH, n)) for s in range(0, n, PANEL_WIDTH)]
+    buf = np.empty(sum(e * (e - s) for s, e in bounds))
+    panels: list[np.ndarray] = []
+    offset = 0
+    for s, e in bounds:
+        P = buf[offset : offset + e * (e - s)].reshape(e, e - s)
+        offset += P.size
+        fill(s, e, P)
+        P[s:].flat[:: e - s + 1] += shift
+        # BLAS sees each C-ordered block through its F-ordered transpose
+        for Q in panels:
+            sq, eq = Q.shape[0] - Q.shape[1], Q.shape[0]
+            if sq:  # P[sq:eq] -= R[:sq, sq:eq]^T P[:sq]
+                dgemm(-1.0, P[:sq].T, Q[:sq].T, 1.0, P[sq:eq].T, trans_b=1, overwrite_c=1)
+            # P[sq:eq] = R[sq:eq, sq:eq]^{-T} P[sq:eq]
+            dtrsm(1.0, Q[sq:].T, P[sq:eq].T, side=1, lower=1, trans_a=1, overwrite_b=1)
+        if s:  # P[s:e] -= P[:s]^T P[:s], upper triangle only
+            dsyrk(-1.0, P[:s].T, 1.0, P[s:].T, lower=1, overwrite_c=1)
+        _, info = dpotrf(P[s:].T, lower=1, clean=1, overwrite_a=1)
+        if info > 0:
+            raise NumericalBreakdownError(f"non-positive pivot at column {s + info} of the factor", s + info)
+        panels.append(P)
+    return panels
+
+
+def inverse_column_norms(panels: list[np.ndarray]) -> np.ndarray:
+    """Squared column norms of R^{-1}, overwriting panel_cholesky's panels of R
+    with those of R^{-1}.
+
+    R^{-1} is upper triangular and its leading t x t block is R_t^{-1}, so
+    the cumulative sum of the result is ||R_t^{-1}||_F^2 =
+    trace((R_t^T R_t)^{-1}) at every prefix t.  Block back-substitution: for a
+    panel [[B], [D]] of R, whose leading block A^{-1} the earlier panels
+    already hold, the panel of R^{-1} is [[-A^{-1} B D^{-1}], [D^{-1}]].
+    """
+    norms = []
+    for p, P in enumerate(panels):
+        s = P.shape[0] - P.shape[1]
+        dtrtri(P[s:].T, lower=1, overwrite_c=1)  # D^{-1}
+        if s:
+            # Y = -B D^{-1}, then Y = A^{-1} Y one earlier panel at a time
+            dtrmm(-1.0, P[s:].T, P[:s].T, side=0, lower=1, overwrite_b=1)
+            for Q in panels[:p]:
+                sq, eq = Q.shape[0] - Q.shape[1], Q.shape[0]
+                if sq:  # Y[:sq] += R^{-1}[:sq, sq:eq] Y[sq:eq]
+                    dgemm(1.0, P[sq:eq].T, Q[:sq].T, 1.0, P[:sq].T, overwrite_c=1)
+                # Y[sq:eq] = R^{-1}[sq:eq, sq:eq] Y[sq:eq]
+                dtrmm(1.0, Q[sq:].T, P[sq:eq].T, side=1, lower=1, overwrite_b=1)
+        norms.append(np.einsum("ij,ij->j", P, P))
+    return np.concatenate(norms)
+
+
+def replay_forecasts(
+    params: KernelParams, tau: float, xs: np.ndarray, ys: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Raw KAAR forecasts of a whole game whose inputs are all known, and its pivots.
+
+    Returns (yhat, pivots) with yhat_t = tau (sum_{i<t} R[i, t] u_i) / R[t, t]^2,
+    u = R^{-T} y, and pivots_t = R[t, t]^2 = k(x_t, x_t) + tau - r_t^T r_t,
+    which is >= tau in exact arithmetic.  The factor's kernel blocks come
+    from kernel_block, not from gram.  A failure raises ReplayError at the
+    round of the first column whose kernel values overflow (found column by
+    column, as KaarForecaster meets them), of the first non-positive pivot
+    (dpotrf's info), or of the first non-finite label, whichever comes
+    first; a round's forecast precedes its label.
+    """
+    n = len(xs)
+    bad = np.flatnonzero(~np.isfinite(ys))
+    m = int(bad[0]) + 1 if bad.size else n
+
+    def fill(s, e, out):
+        try:
+            kernel_block(params, xs[:e], xs[s:e], out)
+        except OverflowError:
+            for j in range(s, e):  # the first column whose kernel values overflow
+                try:
+                    kernel_of_dist(params, cdist(xs[:j], xs[j : j + 1]))
+                except OverflowError as exc:
+                    raise ReplayError(j + 1) from exc
+            raise
+
+    try:
+        panels = panel_cholesky(fill, m, tau)
+    except NumericalBreakdownError as exc:
+        raise ReplayError(exc.round_index) from exc
+    if bad.size:
+        raise ReplayError(m) from ValueError(f"label must be finite, got {ys[m - 1]}")
+    return panel_forecasts(panels, tau, ys)
+
+
+def panel_forecasts(panels: list[np.ndarray], tau: float, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(yhat, pivots) of replay_forecasts from panel_cholesky's factor of K + tau I."""
+    n = len(ys)
+    u = np.empty(n)
+    sums = np.empty(n)
+    pivots = np.empty(n)
+    for P in panels:
+        e, w = P.shape
+        s = e - w
+        D = P[s:]
+        above = u[:s] @ P[:s]  # sum over the rows of earlier panels
+        u[s:e] = dtrsv(D.T, ys[s:e] - above, lower=1)
+        sums[s:e] = above + u[s:e] @ np.triu(D, 1)
+        pivots[s:e] = np.diagonal(D) ** 2
+    return tau * sums / pivots, pivots
 
 
 @dataclass

@@ -28,7 +28,7 @@ from scipy.spatial.distance import cdist, pdist, squareform
 
 from .special import bessel_k, gamma
 
-__all__ = ["KernelParams", "diagonal_value", "kernel_eval", "gram", "kernel_of_dist"]
+__all__ = ["KernelParams", "diagonal_value", "kernel_eval", "gram", "kernel_block", "kernel_of_dist"]
 
 # below this separation the r^nu * K_nu(r) product is numerically
 # indeterminate; the analytic r -> 0 limit is exact there
@@ -38,6 +38,11 @@ R_MIN = 1e-10
 # temporaries settle on the heap, and whether they are handed back to the OS
 # varies from one process to the next
 _GRAM_BLOCK = 1 << 16
+
+# kernel_block evaluates about this many at a time: its temporaries stay
+# small heap chunks that the next block reuses, so a matrix filled block by
+# block keeps little more resident than the matrix itself
+_KERNEL_BLOCK = 1 << 13
 
 
 def diagonal_value(d: int, s: float) -> float:
@@ -135,3 +140,14 @@ def gram(params: KernelParams, points) -> np.ndarray:
         K[j:, i:j] = block.T
     np.fill_diagonal(K, params.kappa_sq)
     return K
+
+
+def kernel_block(params: KernelParams, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Fill out[i, j] = k(a_i, b_j) a block of rows at a time, and return out.
+
+    a and b are (m, d) and (w, d) point arrays; out is a writable (m, w) array.
+    """
+    rows = max(1, _KERNEL_BLOCK // max(1, len(b)))
+    for i in range(0, len(a), rows):
+        out[i : i + rows] = kernel_of_dist(params, cdist(a[i : i + rows], b))
+    return out

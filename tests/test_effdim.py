@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kaarbench.effdim import effective_dimension, scaling_fit
+from kaarbench.effdim import effective_dimension, scaling_fit, spectrum
 from kaarbench.kernel import KernelParams, gram
 
 
@@ -48,7 +48,7 @@ def test_report_invariants():
     rng = np.random.default_rng(1)
     K = gram(KernelParams(1, 2.0), rng.uniform(-1, 1, (50, 1)))
     rep = effective_dimension(K, tau=0.5)
-    lam = rep.eigenvalues
+    lam = spectrum(K)
     assert np.all(np.diff(lam) <= 0) and np.all(lam >= 0)
     rank_proxy = int(np.sum(lam > 1e-12 * lam[0]))
     assert 0.0 <= rep.value <= min(rep.n, rank_proxy)
@@ -134,3 +134,31 @@ def test_equispaced_grid_slope_below_theory_band():
     slope, r2 = scaling_fit(reports)
     assert slope <= 0.6
     assert r2 >= 0.9
+
+
+@pytest.mark.parametrize("d,s,n", [(1, 1.0, 2048), (2, 2.0, 700), (1, 2.0, 333)])
+def test_cholesky_value_matches_eigenvalue_sum(d, s, n):
+    # n - tau ||R^{-1}||_F^2 against sum_j lambda_j / (lambda_j + tau) from eigvalsh
+    K = gram(KernelParams(d, s), np.random.default_rng(n).uniform(-1, 1, (n, d)))
+    lam = spectrum(K)
+    for tau in (1e-3, 1.0, n ** (1.0 / 3.0), 1e3):
+        want = float(np.sum(lam / (lam + tau)))
+        assert effective_dimension(K, tau).value == pytest.approx(want, rel=1e-9)
+
+
+def test_reads_the_given_matrix_without_changing_it():
+    K = gram(KernelParams(1, 1.0), np.linspace(-1, 1, 300))
+    before = K.copy()
+    effective_dimension(K, 0.5)
+    assert np.array_equal(K, before)
+
+
+def test_lambda_columns_come_from_the_spectrum_only():
+    from dataclasses import replace
+
+    K = gram(KernelParams(1, 1.0), np.linspace(-1, 1, 40))
+    rep = effective_dimension(K, 1.0)
+    assert rep.eigenvalues is None and rep.lambda_max is None and rep.lambda_min is None
+    lam = np.linalg.eigvalsh(K)
+    full = replace(rep, eigenvalues=spectrum(K))
+    assert full.lambda_max == lam[-1] and full.lambda_min == max(lam[0], 0.0)

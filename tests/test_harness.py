@@ -168,6 +168,83 @@ def test_kernel_overflow_becomes_game_failure():
     assert exc_info.value.round_index == 507
 
 
+@pytest.mark.parametrize("d,beta", [(1, 1.0), (2, 1.5), (3, 2.0)])
+@pytest.mark.parametrize("adversary", ["iid", "shattering"])
+def test_replayed_game_matches_online_forecaster(d, beta, adversary):
+    # horizon 300 plays 300, 289 or 216 rounds: never a multiple of the panel width
+    from kaarbench.kaar import KaarForecaster, PANEL_WIDTH
+    from kaarbench.kernel import KernelParams
+
+    cfg = small_config(d=d, beta=beta, adversary=adversary, horizon=300, forecaster="kaar")
+    trace = run_game(cfg, 3)
+    assert trace.n % PANEL_WIDTH != 0
+    fc = KaarForecaster(KernelParams(d, trace.s), trace.tau)
+    worst = 0.0
+    for x, y, yhat in zip(trace.xs, trace.ys, trace.yhats):
+        worst = max(worst, abs(fc.predict(x) - yhat))
+        fc.update(x, y)
+    assert worst <= 1e-12
+
+
+def test_replay_breakdown_carries_dpotrf_round(monkeypatch):
+    # a kernel of 4 on equal inputs and 0 elsewhere, tau far below its
+    # roundoff: round 200 repeats the input of round 38, and the factor's
+    # pivot there is exactly 0, in the second panel of 128 columns
+    from kaarbench import harness, kaar
+    from kaarbench.adversary import Stream, ZeroComparator
+
+    xs = np.linspace(-1, 1, 256)[:, None]
+    xs[199] = xs[37]
+    stream = Stream(xs=xs, ys=np.zeros(256), comparator=ZeroComparator(dim=1))
+    monkeypatch.setattr(harness, "make_stream", lambda *a, **k: stream)
+    monkeypatch.setattr(kaar, "kernel_block", lambda params, a, b, out: np.multiply(4.0, a == b.T, out=out))
+    cfg = small_config(regime="manual", s=1.0, tau=2.0**-60, horizon=256, comparator="zero")
+    with pytest.raises(GameFailure) as exc_info:
+        run_game(cfg, 0)
+    assert exc_info.value.round_index == 200
+    assert exc_info.value.__cause__.round_index == 200
+
+
+def test_replay_records_log_det_and_min_pivot():
+    from kaarbench.kernel import KernelParams, gram
+
+    cfg = small_config(horizon=300, checkpoints=(1, 7, 128, 129, 300))
+    trace = run_game(cfg, 5)
+    K = gram(KernelParams(1, trace.s), trace.xs)
+    for t, got in zip(trace.checkpoints, trace.log_det):
+        sign, want = np.linalg.slogdet(np.eye(t) + K[:t, :t] / trace.tau)
+        assert sign == 1.0 and got == pytest.approx(want, rel=1e-9)
+    L = np.linalg.cholesky(K + trace.tau * np.eye(trace.n))
+    assert trace.min_pivot == pytest.approx(float(np.min(np.diag(L) ** 2)), rel=1e-9)
+    assert trace.min_pivot >= trace.tau * (1.0 - 1e-9)
+    ewa = run_game(small_config(horizon=16, forecaster="ewa"), 5)
+    assert ewa.log_det is None and ewa.min_pivot is None
+
+
+def _blas_threads(config, seed):
+    """Thread count of each OpenBLAS bundled with numpy and scipy, as a worker sees it."""
+    import ctypes
+
+    from kaarbench.harness import _bundled_openblas
+
+    counts = []
+    for lib in _bundled_openblas():
+        for name in ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads"):
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                counts.append(getter())
+                break
+    return counts
+
+
+def test_map_seeds_workers_run_one_blas_thread():
+    counts = map_seeds(_blas_threads, small_config(seeds=(0, 1), threads=2))
+    if not any(counts.values()):
+        pytest.skip("no bundled OpenBLAS to query")
+    assert all(c == [1] * len(c) for c in counts.values())
+
+
 def test_order_guard_blocks_label_leakage_patterns():
     class Dummy:
         def predict(self, x):

@@ -7,8 +7,12 @@ import pytest
 
 from kaarbench.kaar import (
     KaarForecaster,
+    NumericalBreakdownError,
     Schedule,
+    inverse_column_norms,
+    panel_cholesky,
     regret_certificate,
+    replay_forecasts,
     schedule_tau,
     target_regret_exponent,
 )
@@ -286,3 +290,59 @@ def test_certificate_requires_clip_level():
     fc = KaarForecaster(KernelParams(1, 1.0), tau=1.0)
     with pytest.raises(ValueError):
         regret_certificate(fc, 1.0, 10, 1.0)
+
+
+# -- replay from the level-3 panel factor ------------------------------
+
+
+@pytest.mark.parametrize("t", [0, 1, 127, 128, 200, 299])
+def test_replay_forecasts_do_not_read_their_own_label(t):
+    # changing y_t (0-based) leaves the forecasts of rounds 1 .. t+1 bit-identical
+    rng = np.random.default_rng(12)
+    params = KernelParams(1, 1.0)
+    xs = rng.uniform(-1, 1, (300, 1))
+    ys = rng.uniform(-1, 1, 300)
+    base, _ = replay_forecasts(params, 2.0, xs, ys)
+    moved = ys.copy()
+    moved[t] += 0.75
+    again, _ = replay_forecasts(params, 2.0, xs, moved)
+    assert np.array_equal(base[: t + 1], again[: t + 1])
+    if t + 1 < 300:
+        assert not np.array_equal(base[t + 1 :], again[t + 1 :])
+
+
+def test_panel_cholesky_matches_dense_factor():
+    rng = np.random.default_rng(13)
+    params = KernelParams(1, 2.0)
+    K = gram(params, rng.uniform(-1, 1, (300, 1)))
+    panels = panel_cholesky(lambda s, e, out: out.__setitem__(Ellipsis, K[:e, s:e]), 300, 0.3)
+    R = np.zeros((300, 300))
+    for P in panels:
+        e, w = P.shape
+        R[:e, e - w : e] = P
+    dense = np.linalg.cholesky(K + 0.3 * np.eye(300)).T
+    assert np.abs(R - dense).max() <= 1e-12 * np.abs(dense).max()
+
+
+def test_panel_breakdown_reports_dpotrf_column():
+    # identity with column 200 duplicating column 37: every step is exact in
+    # floating point and the pivot of column 200 (1-based 201) is exactly 0
+    A = np.eye(260)
+    A[37, 200] = A[200, 37] = 1.0
+    with pytest.raises(NumericalBreakdownError) as exc_info:
+        panel_cholesky(lambda s, e, out: out.__setitem__(Ellipsis, A[:e, s:e]), 260, 0.0)
+    assert exc_info.value.round_index == 201
+
+
+def test_inverse_column_norms_give_prefix_effective_dimensions():
+    rng = np.random.default_rng(14)
+    params = KernelParams(1, 1.0)
+    K = gram(params, rng.uniform(-1, 1, (300, 1)))
+    tau = 0.5
+    norms = inverse_column_norms(
+        panel_cholesky(lambda s, e, out: out.__setitem__(Ellipsis, K[:e, s:e]), 300, tau)
+    )
+    prefix = np.arange(1, 301) - tau * np.cumsum(norms)
+    for t in (1, 2, 64, 128, 129, 256, 300):
+        lam = np.maximum(np.linalg.eigvalsh(K[:t, :t]), 0.0)
+        assert prefix[t - 1] == pytest.approx(float(np.sum(lam / (lam + tau))), rel=1e-9)
