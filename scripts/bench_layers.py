@@ -1,11 +1,11 @@
 """Layer timings of the level-3 game replay and of the effective dimension.
 
-    python3 scripts/bench_layers.py [--ns 1024,2048,4096] [--ds 1,2] [--repeats 3] [--out BENCH_replay.json]
+    python3 scripts/bench_layers.py
 
-For each (n, d) it draws n uniform inputs on [-1, 1]^d and uniform labels
+For each n in NS and d in DS it draws n uniform inputs on [-1, 1]^d and uniform labels
 on [-1, 1] (PCG64, seed 0), resolves (s, tau) by the smooth schedule
 (beta = 1 for d = 1, beta = 1.5 for d = 2) and times, as the median of
---repeats runs:
+REPEATS runs:
 
     gram_s              kernel.gram of all n inputs
     kernel_block_s      the replay's panel fill: kernel.kernel_block on
@@ -21,7 +21,8 @@ on [-1, 1] (PCG64, seed 0), resolves (s, tau) by the smooth schedule
 
 with the agreement of the replay against the online forecasts and of the
 two d_eff values.  BLAS runs one thread unless OPENBLAS_NUM_THREADS is set.
-The JSON record (library versions, BLAS threads, core count) goes to --out.
+The JSON record (library versions, BLAS threads, core count) goes to
+BENCH_replay.json at the root of the repository.
 """
 
 import os
@@ -29,7 +30,6 @@ import os
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 
-import argparse  # noqa: E402
 import ctypes  # noqa: E402
 import json  # noqa: E402
 import platform  # noqa: E402
@@ -57,6 +57,10 @@ from kaarbench.kaar import (  # noqa: E402
 )
 from kaarbench.kernel import KernelParams, gram, kernel_block  # noqa: E402
 
+NS = (1024, 2048, 4096)
+DS = (1, 2)
+REPEATS = 3
+OUT = ROOT / "BENCH_replay.json"
 BETA = {1: 1.0, 2: 1.5}
 
 
@@ -133,17 +137,11 @@ def case(n: int, d: int, repeats: int) -> dict:
     }
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    p.add_argument("--ns", default="1024,2048,4096")
-    p.add_argument("--ds", default="1,2")
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--out", default=str(ROOT / "BENCH_replay.json"))
-    args = p.parse_args(argv)
+def main() -> int:
     libs = openblas()
     record = {
         "script": "scripts/bench_layers.py",
-        "statistic": f"median of {args.repeats} runs",
+        "statistic": f"median of {REPEATS} runs",
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
@@ -154,14 +152,14 @@ def main(argv=None) -> int:
         "panel_width": PANEL_WIDTH,
         "cases": [],
     }
-    for d in (int(tok) for tok in args.ds.split(",")):
-        for n in (int(tok) for tok in args.ns.split(",")):
-            row = case(n, d, args.repeats)
+    for d in DS:
+        for n in NS:
+            row = case(n, d, REPEATS)
             record["cases"].append(row)
             print(f"n={n} d={d}: " + ", ".join(f"{k} {v:.3f}" for k, v in row["layers"].items())
                   + f"; game x{row['speedup']['game']:.1f}, d_eff x{row['speedup']['d_eff']:.1f}", flush=True)
-    Path(args.out).write_text(json.dumps(record, indent=2) + "\n")
-    print(f"wrote {args.out}")
+    OUT.write_text(json.dumps(record, indent=2) + "\n")
+    print(f"wrote {OUT}")
     return 0
 
 

@@ -175,11 +175,12 @@ def cmd_effdim(args) -> int:
     tau = args.tau
     with _Outputs(_out_dir(config)) as outs:
         rng = np.random.default_rng(config.seeds[0])
-        reports = []
+        reports, spectra = [], []
         for n in ns:
             K = gram(params, point_layout(args.layout, n, config.d, rng))
-            reports.append(replace(effective_dimension(K, tau), eigenvalues=spectrum(K)))
-        write_effdim_csv(reports, outs.path(f"{config.name}_effdim_{args.layout}.csv"))
+            reports.append(effective_dimension(K, tau))
+            spectra.append(spectrum(K))
+        write_effdim_csv(reports, spectra, outs.path(f"{config.name}_effdim_{args.layout}.csv"))
         write_plot_data(
             outs.path(f"{config.name}_effdim_{args.layout}.dat"),
             [rep.n / rep.tau for rep in reports],

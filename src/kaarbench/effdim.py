@@ -12,8 +12,8 @@ factors K's column blocks in place of a dense copy, and
 kaar.inverse_column_norms sums ||R^{-1}||_F^2 by block back-substitution on
 the panels, about (2/3) n^3 flops in level-3 BLAS where a symmetric
 eigendecomposition costs several times more.  The eigenvalues are computed
-only where they are reported (spectrum, for the effdim command's lambda
-columns).
+only where they are reported (spectrum, for the lambda columns of
+harness.write_effdim_csv).
 
 scaling_fit estimates the growth exponent of d_eff against n/tau by ordinary
 least squares on log-log axes, which is how the theoretical bound
@@ -43,17 +43,6 @@ class EffDimReport:
     n: int
     tau: float
     value: float
-    eigenvalues: np.ndarray | None = None  # spectrum(K), where a caller reports it
-
-    @property
-    def lambda_max(self) -> float | None:
-        """Largest eigenvalue, None (an empty CSV field) without a spectrum."""
-        return None if self.eigenvalues is None else float(self.eigenvalues[0])
-
-    @property
-    def lambda_min(self) -> float | None:
-        """Smallest eigenvalue clamped at 0, None without a spectrum."""
-        return None if self.eigenvalues is None else float(self.eigenvalues[-1])
 
 
 def spectrum(gram_matrix: np.ndarray) -> np.ndarray:

@@ -42,7 +42,7 @@ from .adversary import (
 )
 from .effdim import loglog_fit
 from .ewa import EwaForecaster, balanced_epsilon, build_net
-from .kaar import NumericalBreakdownError, ReplayError, Schedule, replay_forecasts, schedule_tau
+from .kaar import NumericalBreakdownError, Schedule, replay_forecasts, schedule_tau
 from .kernel import KernelParams
 
 __all__ = [
@@ -333,10 +333,17 @@ def run_game(config: ExperimentConfig, seed: int | None = None) -> GameTrace:
     checkpoints = tuple(c for c in checkpoints if c <= n)
     raw_yhats = log_det = min_pivot = None
     if config.forecaster in ("kaar", "kaar_clipped"):
+        # the game stops at its first non-finite label, after that round's forecast
+        bad = np.flatnonzero(~np.isfinite(ys))
+        m = int(bad[0]) + 1 if bad.size else n
         try:
-            raw, pivots = replay_forecasts(params, tau, xs, ys)
-        except ReplayError as exc:
-            raise _game_failure(config, seed, exc.round_index, exc.__cause__) from exc.__cause__
+            raw, pivots = replay_forecasts(params, tau, xs[:m], ys[:m])
+        except NumericalBreakdownError as exc:
+            cause = exc.__cause__ or exc  # a kernel overflow is reported as itself
+            raise _game_failure(config, seed, exc.round_index, cause) from cause
+        if bad.size:
+            cause = ValueError(f"label must be finite, got {ys[m - 1]}")
+            raise _game_failure(config, seed, m, cause) from cause
         log_det = np.cumsum(np.log(pivots / tau))[np.array(checkpoints, dtype=int) - 1]
         min_pivot = float(pivots.min())
         if config.forecaster == "kaar_clipped":
@@ -553,7 +560,8 @@ def write_stream_csv(stream: Stream, path) -> None:
     write_table(path, rows, ["t"] + [f"x_{k + 1}" for k in range(d)] + ["y"])
 
 
-def write_effdim_csv(reports, path) -> None:
-    """Effective-dimension report CSV: n,tau,d_eff,lambda_max,lambda_min."""
-    rows = ((rep.n, rep.tau, rep.value, rep.lambda_max, rep.lambda_min) for rep in reports)
+def write_effdim_csv(reports, spectra, path) -> None:
+    """Effective-dimension report CSV: n,tau,d_eff,lambda_max,lambda_min, the
+    lambda columns from each report's effdim.spectrum (nonincreasing)."""
+    rows = ((rep.n, rep.tau, rep.value, lam[0], lam[-1]) for rep, lam in zip(reports, spectra, strict=True))
     write_table(path, rows, ["n", "tau", "d_eff", "lambda_max", "lambda_min"])

@@ -76,7 +76,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.blas import dgemm, dsyrk, dtpsv, dtrmm, dtrsm, dtrsv
 from scipy.linalg.lapack import dpotrf, dtrtri
-from scipy.spatial.distance import cdist
 
 from .kernel import KernelParams, gram, kernel_block, kernel_of_dist
 
@@ -84,7 +83,6 @@ __all__ = [
     "KaarForecaster",
     "NumericalBreakdownError",
     "PANEL_WIDTH",
-    "ReplayError",
     "Schedule",
     "inverse_column_norms",
     "panel_cholesky",
@@ -102,23 +100,18 @@ PANEL_WIDTH = 128  # columns per panel of the level-3 factor
 
 
 class NumericalBreakdownError(RuntimeError):
-    """Raised when a factor hits a non-positive pivot that it cannot repair.
+    """A factor failed at a known round: a non-positive pivot it cannot
+    repair or, in a replay, kernel values that overflow (chained as the cause).
 
-    round_index is the 1-based column of that pivot, when known.
+    round_index is the 1-based column of the factor, which is the game round.
     """
 
-    def __init__(self, message: str, round_index: int | None = None):
+    def __init__(self, message: str, round_index: int):
         super().__init__(message)
         self.round_index = round_index
 
-
-class ReplayError(RuntimeError):
-    """A replayed game failed at round round_index (1-based); the failure
-    itself is chained as __cause__."""
-
-    def __init__(self, round_index: int):
-        super().__init__(f"replay failed at round {round_index}")
-        self.round_index = round_index
+    def __reduce__(self):
+        return type(self), (str(self), self.round_index)
 
 
 class KaarForecaster:
@@ -214,7 +207,7 @@ class KaarForecaster:
             if attempt == 0:
                 self._refactorize()
         raise NumericalBreakdownError(
-            f"non-positive pivot ({s2:.3e}) persisted after refactorization at t={t}"
+            f"non-positive pivot ({s2:.3e}) persisted after refactorization at t={t}", t + 1
         )
 
     # -- forecasting --------------------------------------------------
@@ -338,34 +331,33 @@ def replay_forecasts(
     Returns (yhat, pivots) with yhat_t = tau (sum_{i<t} R[i, t] u_i) / R[t, t]^2,
     u = R^{-T} y, and pivots_t = R[t, t]^2 = k(x_t, x_t) + tau - r_t^T r_t,
     which is >= tau in exact arithmetic.  The factor's kernel blocks come
-    from kernel_block, not from gram.  A failure raises ReplayError at the
-    round of the first column whose kernel values overflow (found column by
-    column, as KaarForecaster meets them), of the first non-positive pivot
-    (dpotrf's info), or of the first non-finite label, whichever comes
-    first; a round's forecast precedes its label.
+    from kernel_block, not from gram.  A failure raises
+    NumericalBreakdownError at the round where KaarForecaster meets it: the
+    first non-positive pivot (dpotrf's info) or the first input whose kernel
+    values against the earlier inputs overflow, whichever comes first.  A
+    non-finite label spoils only the forecasts after it.
     """
-    n = len(xs)
-    bad = np.flatnonzero(~np.isfinite(ys))
-    m = int(bad[0]) + 1 if bad.size else n
 
     def fill(s, e, out):
-        try:
-            kernel_block(params, xs[:e], xs[s:e], out)
-        except OverflowError:
-            for j in range(s, e):  # the first column whose kernel values overflow
-                try:
-                    kernel_of_dist(params, cdist(xs[:j], xs[j : j + 1]))
-                except OverflowError as exc:
-                    raise ReplayError(j + 1) from exc
-            raise
+        kernel_block(params, xs[:e], xs[s:e], out)
 
     try:
-        panels = panel_cholesky(fill, m, tau)
-    except NumericalBreakdownError as exc:
-        raise ReplayError(exc.round_index) from exc
-    if bad.size:
-        raise ReplayError(m) from ValueError(f"label must be finite, got {ys[m - 1]}")
+        panels = panel_cholesky(fill, len(xs), tau)
+    except OverflowError as exc:
+        j = next((j for j in range(1, len(xs)) if _overflows(params, xs[:j], xs[j : j + 1])), None)
+        if j is None:
+            raise
+        panel_cholesky(fill, j, tau)  # a pivot that breaks down before round j + 1 comes first
+        raise NumericalBreakdownError(f"kernel values of round {j + 1} overflow: {exc}", j + 1) from exc
     return panel_forecasts(panels, tau, ys)
+
+
+def _overflows(params: KernelParams, a: np.ndarray, b: np.ndarray) -> bool:
+    try:
+        kernel_block(params, a, b, np.empty((len(a), len(b))))
+    except OverflowError:
+        return True
+    return False
 
 
 def panel_forecasts(panels: list[np.ndarray], tau: float, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

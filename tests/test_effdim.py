@@ -97,7 +97,7 @@ def test_rejects_bad_tau():
 def _fake_report(n, tau, value):
     from kaarbench.effdim import EffDimReport
 
-    return EffDimReport(n=n, tau=tau, value=value, eigenvalues=np.array([1.0]))
+    return EffDimReport(n=n, tau=tau, value=value)
 
 
 def test_scaling_fit_exact_power_law():
@@ -153,12 +153,11 @@ def test_reads_the_given_matrix_without_changing_it():
     assert np.array_equal(K, before)
 
 
-def test_lambda_columns_come_from_the_spectrum_only():
-    from dataclasses import replace
+def test_lambda_columns_come_from_the_spectrum(tmp_path):
+    from kaarbench.harness import write_effdim_csv
 
     K = gram(KernelParams(1, 1.0), np.linspace(-1, 1, 40))
-    rep = effective_dimension(K, 1.0)
-    assert rep.eigenvalues is None and rep.lambda_max is None and rep.lambda_min is None
+    write_effdim_csv([effective_dimension(K, 1.0)], [spectrum(K)], tmp_path / "effdim.csv")
+    row = (tmp_path / "effdim.csv").read_text().splitlines()[1].split(",")
     lam = np.linalg.eigvalsh(K)
-    full = replace(rep, eigenvalues=spectrum(K))
-    assert full.lambda_max == lam[-1] and full.lambda_min == max(lam[0], 0.0)
+    assert float(row[3]) == lam[-1] and float(row[4]) == max(lam[0], 0.0)

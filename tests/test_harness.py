@@ -1,5 +1,6 @@
 """Game loop protocol, regret accounting, exponent fits, persistence."""
 
+import os
 import pickle
 from dataclasses import replace
 
@@ -205,6 +206,37 @@ def test_replay_breakdown_carries_dpotrf_round(monkeypatch):
     assert exc_info.value.__cause__.round_index == 200
 
 
+def test_replay_pivot_breakdown_precedes_later_overflow_in_its_panel(monkeypatch):
+    # round 200 breaks down as above; the kernel values of round 220, in the
+    # same panel of 128 columns, overflow against every earlier input.  The
+    # online forecaster meets the pivot first, so the replay reports it.
+    from kaarbench import harness, kaar
+    from kaarbench.adversary import Stream, ZeroComparator
+
+    xs = np.linspace(-0.5, 0.5, 256)[:, None]
+    xs[199] = xs[37]
+    xs[219] = 1.0
+
+    def kernel_block(params, a, b, out):
+        if (np.abs(a - b.T) > 1.2).any():
+            raise OverflowError("kernel overflows")
+        return np.multiply(4.0, a == b.T, out=out)
+
+    stream = Stream(xs=xs, ys=np.zeros(256), comparator=ZeroComparator(dim=1))
+    monkeypatch.setattr(harness, "make_stream", lambda *a, **k: stream)
+    monkeypatch.setattr(kaar, "kernel_block", kernel_block)
+    cfg = small_config(regime="manual", s=1.0, tau=2.0**-60, horizon=256, comparator="zero")
+    with pytest.raises(GameFailure) as exc_info:
+        run_game(cfg, 0)
+    assert exc_info.value.round_index == 200
+    assert isinstance(exc_info.value.__cause__, kaar.NumericalBreakdownError)
+    xs[199] = -0.4  # without the repeated input the overflow is the failure
+    with pytest.raises(GameFailure) as exc_info:
+        run_game(cfg, 0)
+    assert exc_info.value.round_index == 220
+    assert isinstance(exc_info.value.__cause__, OverflowError)
+
+
 def test_replay_records_log_det_and_min_pivot():
     from kaarbench.kernel import KernelParams, gram
 
@@ -239,10 +271,16 @@ def _blas_threads(config, seed):
 
 
 def test_map_seeds_workers_run_one_blas_thread():
-    counts = map_seeds(_blas_threads, small_config(seeds=(0, 1), threads=2))
-    if not any(counts.values()):
+    if (os.cpu_count() or 1) == 1:
+        pytest.skip("one core: the library default is already one BLAS thread")
+    if any(os.environ.get(name) for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")):
+        pytest.skip("BLAS threads set by the environment")
+    parent = _blas_threads(None, None)
+    if not parent:
         pytest.skip("no bundled OpenBLAS to query")
-    assert all(c == [1] * len(c) for c in counts.values())
+    assert all(c > 1 for c in parent)  # this process keeps the library default
+    counts = map_seeds(_blas_threads, small_config(seeds=(0, 1), threads=2))
+    assert all(c == [1] * len(parent) for c in counts.values())
 
 
 def test_order_guard_blocks_label_leakage_patterns():
@@ -421,11 +459,8 @@ def test_writers_golden_text(tmp_path):
     write_gram_csv(np.array([[1.0, 0.1], [0.1, 1.0]]), tmp_path / "gram.csv")
     stream = Stream(xs=np.array([[0.1, -0.5], [1.0, 0.2]]), ys=np.array([1.0, -0.3]), comparator=ZeroComparator(dim=2))
     write_stream_csv(stream, tmp_path / "stream.csv")
-    reports = [
-        EffDimReport(n=3, tau=0.5, value=1.2345, eigenvalues=np.array([2.5, 0.5, 0.0])),
-        EffDimReport(n=64, tau=2.0, value=7.0, eigenvalues=np.array([9.0, 1e-20])),
-    ]
-    write_effdim_csv(reports, tmp_path / "effdim.csv")
+    reports = [EffDimReport(n=3, tau=0.5, value=1.2345), EffDimReport(n=64, tau=2.0, value=7.0)]
+    write_effdim_csv(reports, [np.array([2.5, 0.5, 0.0]), np.array([9.0, 1e-20])], tmp_path / "effdim.csv")
 
     expected = {
         "trace.csv": "t,y,yhat,loss,cum_loss,regret_representer,regret_zero\n"
