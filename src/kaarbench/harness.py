@@ -339,8 +339,7 @@ def run_game(config: ExperimentConfig, seed: int | None = None) -> GameTrace:
         try:
             raw, pivots = replay_forecasts(params, tau, xs[:m], ys[:m])
         except NumericalBreakdownError as exc:
-            cause = exc.__cause__ or exc  # a kernel overflow is reported as itself
-            raise _game_failure(config, seed, exc.round_index, cause) from cause
+            raise _game_failure(config, seed, exc.round_index, exc) from exc
         if bad.size:
             cause = ValueError(f"label must be finite, got {ys[m - 1]}")
             raise _game_failure(config, seed, m, cause) from cause

@@ -100,8 +100,7 @@ PANEL_WIDTH = 128  # columns per panel of the level-3 factor
 
 
 class NumericalBreakdownError(RuntimeError):
-    """A factor failed at a known round: a non-positive pivot it cannot
-    repair or, in a replay, kernel values that overflow (chained as the cause).
+    """A factor failed at a known round: a non-positive pivot it cannot repair.
 
     round_index is the 1-based column of the factor, which is the game round.
     """
@@ -331,33 +330,16 @@ def replay_forecasts(
     Returns (yhat, pivots) with yhat_t = tau (sum_{i<t} R[i, t] u_i) / R[t, t]^2,
     u = R^{-T} y, and pivots_t = R[t, t]^2 = k(x_t, x_t) + tau - r_t^T r_t,
     which is >= tau in exact arithmetic.  The factor's kernel blocks come
-    from kernel_block, not from gram.  A failure raises
-    NumericalBreakdownError at the round where KaarForecaster meets it: the
-    first non-positive pivot (dpotrf's info) or the first input whose kernel
-    values against the earlier inputs overflow, whichever comes first.  A
-    non-finite label spoils only the forecasts after it.
+    from kernel_block, not from gram.  The first non-positive pivot
+    (dpotrf's info) raises NumericalBreakdownError at the round where
+    KaarForecaster meets it.  A non-finite label spoils only the forecasts
+    after it.
     """
 
     def fill(s, e, out):
         kernel_block(params, xs[:e], xs[s:e], out)
 
-    try:
-        panels = panel_cholesky(fill, len(xs), tau)
-    except OverflowError as exc:
-        j = next((j for j in range(1, len(xs)) if _overflows(params, xs[:j], xs[j : j + 1])), None)
-        if j is None:
-            raise
-        panel_cholesky(fill, j, tau)  # a pivot that breaks down before round j + 1 comes first
-        raise NumericalBreakdownError(f"kernel values of round {j + 1} overflow: {exc}", j + 1) from exc
-    return panel_forecasts(panels, tau, ys)
-
-
-def _overflows(params: KernelParams, a: np.ndarray, b: np.ndarray) -> bool:
-    try:
-        kernel_block(params, a, b, np.empty((len(a), len(b))))
-    except OverflowError:
-        return True
-    return False
+    return panel_forecasts(panel_cholesky(fill, len(xs), tau), tau, ys)
 
 
 def panel_forecasts(panels: list[np.ndarray], tau: float, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

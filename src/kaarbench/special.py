@@ -7,11 +7,11 @@ orders (nu = m + 1/2) admit an exact closed form
     K_{m+1/2}(x) = sqrt(pi / (2 x)) * exp(-x) * sum_{k=0}^{m} a_k x^{-k},
     a_k = (m + k)! / (k! (m - k)! 2^k),
 
-which is used whenever it applies; this is the common case for the kernels
-in this package (order |d/2 - s| with half-integer s - d/2).  General real
-order is delegated to scipy's K_nu routine, which was validated against an
-arbitrary-precision oracle to ~1e-14 relative error on the supported domain
-(see tests/fixtures).  Symmetry K_{-nu} = K_nu must be applied by callers;
+which is used when the order is exactly m + 1/2; this is the common case
+for the kernels in this package (order |d/2 - s| with half-integer
+s - d/2).  General real order is delegated to scipy's K_nu routine, which
+was validated against an arbitrary-precision oracle to ~1e-14 relative
+error on the supported domain (see tests/fixtures).  Symmetry K_{-nu} = K_nu must be applied by callers;
 orders passed here are nonnegative.
 
 Both functions accept scalars or numpy arrays and apply elementwise.
@@ -25,9 +25,6 @@ import numpy as np
 from scipy import special as _sp
 
 __all__ = ["gamma", "bessel_k"]
-
-# nu is treated as half-integer when within this distance of m + 1/2
-_HALF_INT_TOL = 1e-12
 
 
 def gamma(x):
@@ -48,9 +45,14 @@ def gamma(x):
 
 
 def _half_integer_m(nu: float) -> int | None:
-    """Return m if nu is (numerically) m + 1/2 with m >= 0, else None."""
+    """Return m if nu is exactly m + 1/2 with m >= 0, else None.
+
+    An order merely near m + 1/2 goes to scipy: K_{m+1/2} differs from K_nu
+    by a factor near (2 / x)^{nu - m - 1/2}, which grows without bound as x
+    shrinks, while scipy stays within 3e-14 relative down to x = 1e-300.
+    """
     m = round(nu - 0.5)
-    if m >= 0 and abs(nu - (m + 0.5)) <= _HALF_INT_TOL:
+    if m >= 0 and nu == m + 0.5:
         return m
     return None
 

@@ -187,6 +187,13 @@ def test_prediction_continuity_shrinks_with_perturbation():
     assert gaps[2] <= 1e-4
 
 
+def test_large_order_predict_finite_for_close_inputs():
+    # s = 40.5: K_nu alone overflows 2.4e-7 away from an earlier input
+    fc = KaarForecaster(KernelParams(1, 40.5), 1.0)
+    fc.update([0.3], 0.5)
+    assert math.isfinite(fc.predict([0.3 + 2.4e-7]))
+
+
 def test_clipping():
     params = KernelParams(1, 1.0)
     fc = KaarForecaster(params, tau=0.01, clip_m=1.0)

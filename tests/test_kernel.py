@@ -124,6 +124,27 @@ def test_continuity_at_diagonal():
     assert gaps[1] < 1e-6
 
 
+def test_small_order_continuous_across_former_switch():
+    # nu = 0.05: r^nu K_nu(r) nears its limit only like r^{2 nu}, so a switch
+    # to the limit at r = 1e-10 would jump by 10 %; the kernel itself moves
+    # by 2e-5 of kappa_sq between these two distances
+    p = KernelParams(1, 0.55)
+    below, above = kernel_of_dist(p, np.array([0.999e-10, 1.001e-10]))
+    assert 0.0 <= below - above <= 1e-4 * p.kappa_sq
+
+
+def test_nan_distance_rejected():
+    from kaarbench.kaar import KaarForecaster
+
+    p = KernelParams(1, 1.0)
+    with pytest.raises(ValueError):
+        gram(p, [[0.1], [math.nan]])
+    fc = KaarForecaster(p, 1.0)
+    fc.update([0.1], 0.3)
+    with pytest.raises(ValueError):
+        fc.predict([math.nan])
+
+
 def test_translation_invariance():
     p = KernelParams(2, 1.7)
     rng = np.random.default_rng(3)

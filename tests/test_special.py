@@ -122,3 +122,11 @@ def test_bessel_near_integer_order_continuous():
     base = bessel_k(2.0, 1.3)
     for delta in (1e-7, -1e-7, 1e-9):
         assert bessel_k(2.0 + delta, 1.3) == pytest.approx(base, rel=1e-5)
+
+
+def test_bessel_near_half_integer_order_at_tiny_argument():
+    # K_nu(x) -> Gamma(nu) / 2 (2 / x)^nu as x -> 0; the closed form of the
+    # nearest half-integer order is off by (2 / x)^{nu - 1/2}, 7e-11 here
+    nu, x = 0.5 + 1e-13, 1e-300
+    expected = 0.5 * math.exp(math.lgamma(nu) + nu * math.log(2.0 / x))
+    assert bessel_k(nu, x) == pytest.approx(expected, rel=1e-12)
