@@ -18,11 +18,13 @@ diagonal).  r^nu K_nu(r) decreases from its limit 2^{nu-1} Gamma(nu)
 The limit value is returned at r <= r_0(nu), the larger of 1e-300 (below
 which scipy's K_nu is inf at every order) and the radius where that bound
 reaches 1e300; the formula is evaluated everywhere above it, so K_nu never
-overflows, for any order.  Where the limit is used it agrees with the
-formula to 1e-14 relative for nu <= 40.5; beyond, the gap grows like
-r_0^2 / (4 nu) (1e-9 at nu = 60, 1e-5 at nu = 100).  The formula also holds
-outside [-1, 1]^d, where it remains a valid positive-definite kernel (the
-game harness warns when inputs leave the box, nothing is enforced here).
+overflows, for any order.  Where the limit is used it is off by up to
+r_0^2 / (4 nu) relative, which grows with the order (8e-15 at nu = 40.5,
+1e-13 at nu = 43.67, 8e-10 at nu = 60), so KernelParams rejects orders
+above MAX_ORDER, the largest at which that gap stays within 1e-13.  The
+formula also holds outside [-1, 1]^d, where it remains a valid
+positive-definite kernel (the game harness warns when inputs leave the
+box, nothing is enforced here).
 """
 
 from __future__ import annotations
@@ -35,7 +37,11 @@ from scipy.spatial.distance import cdist, pdist, squareform
 
 from .special import bessel_k, gamma
 
-__all__ = ["KernelParams", "diagonal_value", "kernel_eval", "gram", "kernel_block", "kernel_of_dist"]
+__all__ = ["KernelParams", "MAX_ORDER", "diagonal_value", "kernel_eval", "gram", "kernel_block", "kernel_of_dist"]
+
+# largest Bessel order nu = s - d/2 at which r_0(nu)^2 / (4 nu), the gap
+# between the r -> 0 limit and the kernel at r_0, is within 1e-13
+MAX_ORDER = 43.67259
 
 # gram evaluates about this many kernel values at a time; whole-matrix
 # temporaries settle on the heap, and whether they are handed back to the OS
@@ -63,7 +69,8 @@ class KernelParams:
 
     kappa_sq is the cached diagonal value k(x, x) = sup_x k(x, x); it is
     always recomputed from (d, s) so the invariant kappa_sq ==
-    diagonal_value(d, s) holds by construction.
+    diagonal_value(d, s) holds by construction.  Orders s - d/2 above
+    MAX_ORDER are rejected (module docstring).
     """
 
     d: int
@@ -72,6 +79,11 @@ class KernelParams:
 
     def __post_init__(self):
         object.__setattr__(self, "kappa_sq", diagonal_value(self.d, self.s))
+        if self.nu > MAX_ORDER:
+            raise ValueError(
+                f"smoothness s = {self.s} gives Bessel order s - d/2 = {self.nu:g}; the kernel's"
+                f" r -> 0 limit is within 1e-13 only up to order {MAX_ORDER}"
+            )
 
     @property
     def nu(self) -> float:

@@ -11,10 +11,16 @@ which is used when the order is exactly m + 1/2; this is the common case
 for the kernels in this package (order |d/2 - s| with half-integer
 s - d/2).  General real order is delegated to scipy's K_nu routine, which
 was validated against an arbitrary-precision oracle to ~1e-14 relative
-error on the supported domain (see tests/fixtures).  Symmetry K_{-nu} = K_nu must be applied by callers;
-orders passed here are nonnegative.
+error on the supported domain (see tests/fixtures).  That routine costs
+about 20 closed-form evaluations per argument, so it is called once per
+distinct argument and the values are scattered back: distances between
+lattice points repeat (431 distinct ones among the 1,048,576 pairs of a
+32 x 32 grid), while the sort costs about a tenth of kv's time where
+nothing repeats (BENCH_replay.json).  Symmetry K_{-nu} = K_nu must be applied by callers; orders
+passed here are nonnegative.
 
-Both functions accept scalars or numpy arrays and apply elementwise.
+Both functions accept scalars or numpy arrays and apply elementwise; the
+result has the argument's shape, a float for a scalar.
 """
 
 from __future__ import annotations
@@ -83,8 +89,11 @@ def bessel_k(nu: float, x):
     Returns
     -------
     float or ndarray
-        K_nu evaluated elementwise.  Relative error <= 1e-10 for
-        nu in [0, 10] and x in (1e-8, 50].
+        K_nu evaluated elementwise, in the shape of x (a float for a scalar
+        or 0-d x).  Relative error <= 1e-10 for nu in [0, 10] and
+        x in (1e-8, 50].  At an order that is not an exact half-integer,
+        scipy's kv runs once per distinct value of x; being elementwise,
+        it gives the same bits as a call per element.
 
     Raises
     ------
@@ -92,7 +101,7 @@ def bessel_k(nu: float, x):
         If x <= 0 anywhere, or nu is negative / non-finite.
     OverflowError
         If the result exceeds the double-precision range (small x with
-        large nu).
+        large nu); the message names the smallest such x.
     """
     if not math.isfinite(nu) or nu < 0.0:
         raise ValueError(f"bessel_k: order must be finite and >= 0, got {nu}")
@@ -104,8 +113,11 @@ def bessel_k(nu: float, x):
     if m is not None:
         out = _bessel_k_half(m, arr)
     else:
+        # kv costs about 20 closed-form evaluations, and lattice inputs
+        # repeat their distances: evaluate each distinct argument once
+        args, inverse = np.unique(arr, return_inverse=True)
         with np.errstate(over="ignore"):
-            out = _sp.kv(nu, arr)
+            out = _sp.kv(nu, args)[inverse].reshape(arr.shape)
     if np.any(np.isinf(out)):
         raise OverflowError(
             f"bessel_k: K_{nu} overflows double precision at x={arr[np.isinf(out)].min() if arr.ndim else float(arr)}"

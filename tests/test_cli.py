@@ -145,6 +145,17 @@ def test_bench_large_order_kernel_completes(config_file, tmp_path):
     assert not (out / "FAILED.txt").exists()
 
 
+def test_bench_order_past_limit_gap_is_config_error(config_file, tmp_path):
+    out = tmp_path / "past_limit"
+    code = main([
+        "bench", "--config", str(config_file), "--out", str(out), "--seed", "0",
+        "--override", "kernel.regime=manual", "--override", "kernel.s=60.5",
+        "--override", "kernel.tau=1",
+    ])
+    assert code == EXIT_CONFIG
+    assert not out.exists()
+
+
 def test_effdim_small(config_file, tmp_path, capsys):
     out = tmp_path / "eff"
     code = main([

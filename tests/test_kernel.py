@@ -4,9 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from scipy.spatial.distance import pdist, squareform
+from scipy import special as sp
+from scipy.spatial.distance import cdist, pdist, squareform
 
-from kaarbench.kernel import KernelParams, diagonal_value, gram, kernel_eval, kernel_of_dist
+from kaarbench.kernel import MAX_ORDER, KernelParams, diagonal_value, gram, kernel_eval, kernel_of_dist
 
 
 def test_params_reject_low_smoothness():
@@ -14,6 +15,24 @@ def test_params_reject_low_smoothness():
         KernelParams(2, 1.0)
     with pytest.raises(ValueError):
         KernelParams(1, 0.5)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_params_accept_property_tests_top_order(d):
+    assert KernelParams(d, d / 2 + 40.5).nu == pytest.approx(40.5)
+
+
+def test_params_reject_orders_where_the_limit_is_off():
+    # r_0(nu)^2 / (4 nu): the relative gap between the r -> 0 limit and the kernel at r_0
+    def gap(nu):
+        r0 = 2.0 * math.exp((math.lgamma(nu) - math.log(2e300)) / nu)
+        return r0**2 / (4.0 * nu)
+
+    assert gap(MAX_ORDER) <= 1e-13 < gap(MAX_ORDER + 1e-5)
+    KernelParams(2, 1.0 + MAX_ORDER)
+    for d, s in ((2, 1.0 + MAX_ORDER + 1e-5), (1, 60.5)):
+        with pytest.raises(ValueError, match=str(MAX_ORDER)):
+            KernelParams(d, s)
 
 
 def test_params_cache_diagonal():
@@ -131,6 +150,21 @@ def test_small_order_continuous_across_former_switch():
     p = KernelParams(1, 0.55)
     below, above = kernel_of_dist(p, np.array([0.999e-10, 1.001e-10]))
     assert 0.0 <= below - above <= 1e-4 * p.kappa_sq
+
+
+def test_gram_of_hard_lattice_matches_kv_per_pair():
+    # the hard preset's d = 2 game at n = 1024: 32 x 32 cube centres and nu = 0.05,
+    # where bessel_k evaluates each of the 430 distinct nonzero distances once
+    from kaarbench.adversary import shattering_stream
+
+    xs = shattering_stream(256, 2, 1.0, 0.9, 0).xs
+    p = KernelParams(2, 1.05)
+    r = cdist(xs, xs)
+    off = r > 0
+    expected = np.full_like(r, p.kappa_sq)
+    expected[off] = 2.0 ** (1.0 - p.s) / sp.gamma(p.s) * r[off] ** p.nu * sp.kv(p.nu, r[off])
+    assert xs.shape == (1024, 2)
+    assert np.array_equal(gram(p, xs), expected)
 
 
 def test_nan_distance_rejected():

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import special as _sp
 
 from kaarbench.special import bessel_k, gamma
 
@@ -115,6 +116,37 @@ def test_bessel_overflow_signal():
     # tiny argument with large order exceeds double range
     with pytest.raises(OverflowError):
         bessel_k(10.0, 1e-40)
+
+
+@pytest.mark.parametrize("nu", [0.05, 1.3])
+def test_bessel_general_order_repeated_arguments_match_kv(nu):
+    # kv runs once per distinct argument; the scattered values keep kv's bits
+    rng = np.random.default_rng(1)
+    distinct = np.concatenate([rng.uniform(1e-3, 5.0, 40), [1e-12, 0.25, 2.0, 30.0]])
+    x = rng.choice(distinct, size=(37, 19))
+    got = bessel_k(nu, x)
+    expected = np.array([[_sp.kv(nu, float(v)) for v in row] for row in x])
+    assert np.array_equal(got, expected)
+    assert np.array_equal(bessel_k(nu, x.ravel()), expected.ravel())
+
+
+@pytest.mark.parametrize("nu", [0.05, 1.3, 0.5])
+def test_bessel_returns_the_argument_shape(nu):
+    assert isinstance(bessel_k(nu, 0.7), float)
+    assert isinstance(bessel_k(nu, np.array(0.7)), float)
+    assert bessel_k(nu, np.array(0.7)) == bessel_k(nu, 0.7)
+    assert bessel_k(nu, np.array([0.7])).shape == (1,)
+    assert bessel_k(nu, np.array([0.7, 0.2, 0.7])).shape == (3,)
+    grid = np.array([[0.7, 0.2, 0.7], [0.2, 0.2, 1.1]])
+    assert bessel_k(nu, grid).shape == (2, 3)
+    assert bessel_k(nu, grid.T).shape == (3, 2)
+    assert np.array_equal(bessel_k(nu, grid.T), bessel_k(nu, grid).T)
+
+
+def test_bessel_overflow_repeated_in_2d_names_smallest_argument():
+    x = np.array([[1e-40, 1.0, 1e-45], [1e-45, 1e-40, 2.0]])
+    with pytest.raises(OverflowError, match=r"x=1e-45$"):
+        bessel_k(10.0, x)
 
 
 def test_bessel_near_integer_order_continuous():
